@@ -15,6 +15,7 @@ descriptor/arguments, 2 numerical failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from . import oracle
 from . import padegen as pg
 from . import ringwave as rw
 from .errors import BackflowError, SingularPoint, SpecViolation
+from .polyring import horner
 
 DEFAULT_SAMPLES = 2001
 DEFAULT_LINE_RANGE = (-5.0, 5.0)
@@ -116,24 +118,26 @@ class SampledField:
             raise ValueError("density must be nonnegative")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of text chunks to a temp file beside path, then
+    rename it over path. Chunks stream to the file, so a large report is
+    never held in memory whole."""
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(rows):
-                fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(col, float).tolist() for col in columns))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], (row % r for r in rows)))
 
 
 def _jsonable(v):
@@ -143,17 +147,8 @@ def _jsonable(v):
 
 
 def write_json(path: str, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    _atomic_write(path, itertools.chain(encoder.iterencode(payload), ["\n"]))
 
 
 def backflow_report_json(report: cw.BackflowReport) -> dict:
@@ -170,30 +165,15 @@ def backflow_report_json(report: cw.BackflowReport) -> dict:
 def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
     xs = np.linspace(lo, hi, samples)
     dens = np.abs(wf(xs)) ** 2
-    is_line = isinstance(wf, cw.LineWaveFunction)
-    k_of = cw.local_wavenumber if is_line else rw.ring_wavenumber
-    j_of = cw.probability_current if is_line else rw.ring_current
-    ks = np.empty(samples)
-    js = np.empty(samples)
-    for i, x in enumerate(xs):
-        try:
-            ks[i] = k_of(wf, float(x))
-        except SingularPoint:
-            ks[i] = math.nan
-        js[i] = j_of(wf, float(x))
-
-    if is_line:
-        sp = cw.momentum_spectrum(wf)
-        ps = np.linspace(0.0, DEFAULT_P_MAX, samples)
-        vals = np.array([cw.eval_spectrum(sp, float(p)) for p in ps])
-        axis, s_abs, s_arg = ps, np.abs(vals), np.angle(vals)
+    if isinstance(wf, cw.LineWaveFunction):
+        ks, js = cw.local_wavenumber(wf, xs), cw.probability_current(wf, xs)
+        axis = np.linspace(0.0, DEFAULT_P_MAX, samples)
+        vals = cw.eval_spectrum(cw.momentum_spectrum(wf), axis)
     else:
-        sp = rw.ring_spectrum(wf)
-        axis = np.arange(1, len(sp.coeffs) + 1, dtype=float)
-        vals = np.asarray(sp.coeffs)
-        s_abs, s_arg = np.abs(vals), np.angle(vals)
-
-    return SampledField(xs, dens, ks, js, axis, s_abs, s_arg)
+        ks, js = rw.ring_wavenumber(wf, xs), rw.ring_current(wf, xs)
+        vals = np.asarray(rw.ring_spectrum(wf).coeffs)
+        axis = np.arange(1, len(vals) + 1, dtype=float)
+    return SampledField(xs, dens, ks, js, axis, np.abs(vals), np.angle(vals))
 
 
 def _spectrum_terms_json(wf) -> list | dict:
@@ -216,18 +196,27 @@ def _spectrum_terms_json(wf) -> list | dict:
 # subcommands
 
 
+def _analyze(descriptor: WaveFunctionDescriptor, x_range, samples: int):
+    """Build, sample and analyse a state: the step analyze and figure share."""
+    wf = build_wavefunction(descriptor)
+    field = sample_field(wf, x_range[0], x_range[1], samples)
+    report = (
+        cw.backflow_intervals(wf)
+        if descriptor.kind == "line"
+        else rw.ring_backflow_intervals(wf)
+    )
+    return wf, field, report
+
+
 def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int = DEFAULT_SAMPLES) -> int:
-    if samples < 2:
-        raise SpecViolation("need at least 2 samples")
     with open(input_path, encoding="utf-8") as fh:
         descriptor = parse_descriptor(json.load(fh))
-    wf = build_wavefunction(descriptor)
     if x_range is None:
         if descriptor.kind == "line":
             x_range = DEFAULT_LINE_RANGE
         else:
             x_range = (-descriptor.period / 2, descriptor.period / 2)
-    field = sample_field(wf, x_range[0], x_range[1], samples)
+    wf, field, report = _analyze(descriptor, x_range, samples)
     write_csv(
         f"{output_prefix}_field.csv",
         ["x", "density", "wavenumber", "current"],
@@ -238,11 +227,6 @@ def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int 
         f"{output_prefix}_spectrum.csv",
         spec_header,
         [field.spectrum_axis, field.spectrum_abs, field.spectrum_arg],
-    )
-    report = (
-        cw.backflow_intervals(wf)
-        if descriptor.kind == "line"
-        else rw.ring_backflow_intervals(wf)
     )
     write_json(
         f"{output_prefix}_report.json",
@@ -287,7 +271,7 @@ def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPL
     xs = np.linspace(-2 * x0, 2 * x0, samples)
     vals = wf(xs)
     scale = wf.norm_constant / abs(report.numerator.coeffs[-1])
-    profile_vals = scale * pg.profile_eval(problem.profile_coeffs, xs + 0j)
+    profile_vals = scale * horner(problem.profile_coeffs, xs + 0j)
     write_csv(
         f"{output_prefix}_field.csv",
         ["x", "density", "re_psi", "im_psi", "re_profile", "im_profile"],
@@ -309,71 +293,61 @@ def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPL
     return 0
 
 
+# figures 1-3: a reference state and the x range it is sampled on
 FIGURE_PARAMS = {
-    1: {"kind": "line", "a": -0.25j, "range": (-5.0, 5.0)},
-    2: {"kind": "ring", "a": math.sqrt(2), "range": (-0.5, 0.5)},
-    3: {"kind": "ring", "a": 1.5, "n": 3, "range": (-0.5, 0.5)},
-    4: {"kind": "design", "m": 8, "bs": (3 * math.pi, 15 * math.pi), "range": (-2 * math.pi, 2 * math.pi)},
+    1: (WaveFunctionDescriptor("line", (cw.Root(-0.25j),), (cw.Root(-1j, 2),)), (-5.0, 5.0)),
+    2: (WaveFunctionDescriptor("ring", (cw.Root(0j), cw.Root(math.sqrt(2) + 0j)), ()), (-0.5, 0.5)),
+    3: (WaveFunctionDescriptor("ring", (cw.Root(0j),), (cw.Root(1.5 + 0j, 3),)), (-0.5, 0.5)),
 }
+# figure 4: exp(-ix) designs with an order-(m+1) pole at -ib for each b
+FIGURE4_M = 8
+FIGURE4_BS = (3 * math.pi, 15 * math.pi)
+FIGURE4_RANGE = (-2 * math.pi, 2 * math.pi)
 
 
 def cmd_figure(figure_id: int, output_dir: str, samples: int = DEFAULT_SAMPLES) -> int:
-    if figure_id not in FIGURE_PARAMS:
+    if figure_id not in (*FIGURE_PARAMS, 4):
         raise SpecViolation(f"unknown figure id {figure_id}; valid ids are 1..4")
     os.makedirs(output_dir, exist_ok=True)
-    params = FIGURE_PARAMS[figure_id]
     prefix = os.path.join(output_dir, f"figure{figure_id}")
+    if figure_id == 4:
+        return _figure_designs(prefix, samples)
 
-    if params["kind"] in ("line", "ring"):
-        if figure_id == 1:
-            spec = cw.RationalSpec(zeros=(cw.Root(params["a"]),), poles=(cw.Root(-1j, 2),))
-            wf = cw.make_line_wavefunction(spec)
-            report = cw.backflow_intervals(wf)
-        elif figure_id == 2:
-            spec = cw.RationalSpec(zeros=(cw.Root(0j), cw.Root(params["a"] + 0j)))
-            wf = rw.make_ring_wavefunction(spec, 1.0)
-            report = rw.ring_backflow_intervals(wf)
-        else:
-            spec = cw.RationalSpec(
-                zeros=(cw.Root(0j),), poles=(cw.Root(params["a"] + 0j, params["n"]),)
-            )
-            wf = rw.make_ring_wavefunction(spec, 1.0)
-            report = rw.ring_backflow_intervals(wf)
-        lo, hi = params["range"]
-        field = sample_field(wf, lo, hi, samples)
-        write_csv(f"{prefix}_density.csv", ["x", "density"], [field.x, field.density])
-        write_csv(f"{prefix}_wavenumber.csv", ["x", "wavenumber"], [field.x, field.wavenumber])
-        write_csv(
-            f"{prefix}_current.csv",
-            ["x", "current", "abs_current"],
-            [field.x, field.current, np.abs(field.current)],
-        )
-        axis_name = "p" if figure_id == 1 else "k"
-        write_csv(
-            f"{prefix}_spectrum.csv",
-            [axis_name, "abs_spectrum", "arg_spectrum"],
-            [field.spectrum_axis, field.spectrum_abs, field.spectrum_arg],
-        )
-        write_json(
-            f"{prefix}_report.json",
-            {
-                "figure": figure_id,
-                "norm_constant": wf.norm_constant,
-                "backflow": backflow_report_json(report),
-                "spectrum_entries": len(field.spectrum_axis),
-            },
-        )
-        return 0
+    descriptor, x_range = FIGURE_PARAMS[figure_id]
+    wf, field, report = _analyze(descriptor, x_range, samples)
+    write_csv(f"{prefix}_density.csv", ["x", "density"], [field.x, field.density])
+    write_csv(f"{prefix}_wavenumber.csv", ["x", "wavenumber"], [field.x, field.wavenumber])
+    write_csv(
+        f"{prefix}_current.csv",
+        ["x", "current", "abs_current"],
+        [field.x, field.current, np.abs(field.current)],
+    )
+    axis_name = "p" if descriptor.kind == "line" else "k"
+    write_csv(
+        f"{prefix}_spectrum.csv",
+        [axis_name, "abs_spectrum", "arg_spectrum"],
+        [field.spectrum_axis, field.spectrum_abs, field.spectrum_arg],
+    )
+    write_json(
+        f"{prefix}_report.json",
+        {
+            "figure": figure_id,
+            "norm_constant": wf.norm_constant,
+            "backflow": backflow_report_json(report),
+            "spectrum_entries": len(field.spectrum_axis),
+        },
+    )
+    return 0
 
-    # figure 4: the two exp(-ix) designs
-    lo, hi = params["range"]
-    xs = np.linspace(lo, hi, samples)
+
+def _figure_designs(prefix: str, samples: int) -> int:
+    xs = np.linspace(*FIGURE4_RANGE, samples)
     designs = []
-    for b in params["bs"]:
+    for b in FIGURE4_BS:
         problem = pg.PadeProblem(
             profile_coeffs=pg.exp_profile_coeffs(-1.0),
-            numerator_degree=params["m"],
-            poles=(cw.Root(-1j * b, params["m"] + 1),),
+            numerator_degree=FIGURE4_M,
+            poles=(cw.Root(-1j * b, FIGURE4_M + 1),),
             half_width=math.pi,
         )
         report = pg.design_wavefunction(problem)
@@ -407,7 +381,7 @@ def _verify_line(wf, tol: float) -> list[tuple[str, bool, str]]:
     checks.append(("normalization", abs(total - 1) <= max(tol, 1e-8), f"|psi|^2 integral = {total:.12g}"))
 
     sp = cw.momentum_spectrum(wf)
-    peak = max(abs(cw.eval_spectrum(sp, float(p))) for p in np.linspace(0.05, 10, 120))
+    peak = float(np.max(np.abs(cw.eval_spectrum(sp, np.linspace(0.05, 10, 120)))))
     worst_neg = max(
         abs(oracle.fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value)
         for p in (-0.4, -1.1, -2.6, -5.3, -8.7)
@@ -416,30 +390,30 @@ def _verify_line(wf, tol: float) -> list[tuple[str, bool, str]]:
         ("spectrum_vanishes_for_p<0", worst_neg <= tol * peak, f"max |spectrum| = {worst_neg:.3e} vs peak {peak:.3e}")
     )
 
-    worst = 0.0
-    for p in (0.3, 0.9, 1.7, 3.1, 6.3):
-        got = cw.eval_spectrum(sp, p)
-        ref = oracle.fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value
-        worst = max(worst, abs(got - ref))
+    ps = (0.3, 0.9, 1.7, 3.1, 6.3)
+    refs = [oracle.fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value for p in ps]
+    worst = float(np.max(np.abs(cw.eval_spectrum(sp, ps) - refs)))
     checks.append(
         ("residue_spectrum_matches_quadrature", worst <= tol * max(1.0, peak), f"max deviation = {worst:.3e}")
     )
 
-    rng = np.random.default_rng(20240901)
-    worst_fd, used = 0.0, 0
-    while used < 25:
-        x = float(rng.uniform(-4, 4))
+    xs = np.random.default_rng(20240901).uniform(-4, 4, 25)
+    checks.append(_phase_gradient_check(wf, cw.local_wavenumber(wf, xs), xs, 1e-5))
+    return checks
+
+
+def _phase_gradient_check(wf, ks, xs, h: float) -> tuple[str, bool, str]:
+    """Largest |k - fd| over xs, skipping points where either is undefined."""
+    worst = 0.0
+    for x, k in zip(xs.tolist(), ks.tolist()):
+        if math.isnan(k):
+            continue
         try:
-            k = cw.local_wavenumber(wf, x)
-            fd = oracle.phase_gradient_fd(wf, x, 1e-5)
+            fd = oracle.phase_gradient_fd(wf, x, h)
         except SingularPoint:
             continue
-        worst_fd = max(worst_fd, abs(k - fd))
-        used += 1
-    checks.append(
-        ("phase_gradient_consistency", worst_fd <= 1e-4, f"max |k - fd| = {worst_fd:.3e} (fd floor 1e-4)")
-    )
-    return checks
+        worst = max(worst, abs(k - fd))
+    return ("phase_gradient_consistency", worst <= 1e-4, f"max |k - fd| = {worst:.3e} (fd floor 1e-4)")
 
 
 def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
@@ -466,20 +440,8 @@ def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
     )
     checks.append(("taylor_coefficients_match_dft", worst <= max(tol, 1e-8), f"max deviation = {worst:.3e}"))
 
-    rng = np.random.default_rng(20240902)
-    worst_fd, used = 0.0, 0
-    while used < 25:
-        xx = float(rng.uniform(0, L))
-        try:
-            k = rw.ring_wavenumber(wf, xx)
-            fd = oracle.phase_gradient_fd(wf, xx, 1e-6 * L)
-        except SingularPoint:
-            continue
-        worst_fd = max(worst_fd, abs(k - fd))
-        used += 1
-    checks.append(
-        ("phase_gradient_consistency", worst_fd <= 1e-4, f"max |k - fd| = {worst_fd:.3e} (fd floor 1e-4)")
-    )
+    xs = np.random.default_rng(20240902).uniform(0, L, 25)
+    checks.append(_phase_gradient_check(wf, rw.ring_wavenumber(wf, xs), xs, 1e-6 * L))
 
     # single pole on the positive real axis plus the origin zero: compare the
     # Parseval normalization with the closed-form reference integral
@@ -558,6 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 2) < 2:
+            raise SpecViolation(f"need at least 2 samples, got {args.samples}")
         if args.command == "analyze":
             x_range = _parse_range(args.range) if args.range else None
             return cmd_analyze(args.input, args.output, x_range, args.samples)

@@ -28,13 +28,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import oracle
-from .errors import DegreeZero, QuadratureFailure, SingularPoint, SpecViolation
+from .errors import QuadratureFailure, SingularPoint, SpecViolation
 from .polyring import (
     Poly,
     Series,
     poly_add,
+    horner,
     poly_derivative,
-    poly_eval,
     poly_from_roots,
     poly_mul,
     poly_scale,
@@ -99,6 +99,17 @@ class RationalSpec:
     @property
     def n(self) -> int:
         return sum(r.multiplicity for r in self.poles)
+
+    def products(self, z):
+        """(prod (z - a)^m over the zeros, prod (z - b)^n over the poles) at
+        complex z, a scalar or a numpy array."""
+        num = 1.0 + 0j
+        for r in self.zeros:
+            num = num * (z - r.position) ** r.multiplicity
+        den = 1.0 + 0j
+        for r in self.poles:
+            den = den * (z - r.position) ** r.multiplicity
+        return num, den
 
 
 def validate_line_spec(spec: RationalSpec) -> None:
@@ -189,12 +200,7 @@ def make_line_wavefunction(spec: RationalSpec, *, tol: float = 1e-10) -> LineWav
 def eval_psi(wf: LineWaveFunction, x):
     """psi at real x (scalar or array); finite everywhere since poles are off-axis."""
     z = x + 0j if np.isscalar(x) else np.asarray(x, float) + 0j
-    num = 1.0 + 0j
-    for r in wf.spec.zeros:
-        num = num * (z - r.position) ** r.multiplicity
-    den = 1.0 + 0j
-    for r in wf.spec.poles:
-        den = den * (z - r.position) ** r.multiplicity
+    num, den = wf.spec.products(z)
     return wf.norm_constant * wf.phase * num / den
 
 
@@ -226,65 +232,83 @@ def momentum_spectrum(wf: LineWaveFunction) -> MomentumSpectrumLine:
     return MomentumSpectrumLine(tuple(terms), wf.spec.n - wf.spec.m)
 
 
-def eval_spectrum(sp: MomentumSpectrumLine, p: float) -> complex:
-    """Momentum wave function at p: zero for p < 0; at p = 0 the principal-value
-    half-sum applies when the decay exponent is 1, otherwise the continuous limit."""
-    if p < 0:
-        return 0j
-    if p == 0:
-        limit = sum(t.coeffs[0] for t in sp.terms)
-        return 0.5 * limit if sp.decay_order == 1 else limit
+def eval_spectrum(sp: MomentumSpectrumLine, p):
+    """Momentum wave function at p, a scalar or an array: zero for p < 0; at
+    p = 0 the principal-value half-sum applies when the decay exponent is 1,
+    otherwise the continuous limit."""
+    limit = sum(t.coeffs[0] for t in sp.terms)
+    at_zero = 0.5 * limit if sp.decay_order == 1 else limit
+    if np.isscalar(p):
+        return 0j if p < 0 else at_zero if p == 0 else _residue_sum(sp, p, cmath.exp)
+    p = np.asarray(p, float)
+    out = np.where(p == 0, at_zero, 0j)
+    positive = p > 0
+    out[positive] = _residue_sum(sp, p[positive], np.exp)
+    return out
+
+
+def _residue_sum(sp: MomentumSpectrumLine, p, exp):
     total = 0j
     for t in sp.terms:
-        arg = -1j * p
-        poly = 0j
-        for c in reversed(t.coeffs):
-            poly = poly * arg + c
-        total += poly * cmath.exp(-1j * p * t.pole)
+        total = total + horner(t.coeffs, -1j * p) * exp(-1j * p * t.pole)
     return total
 
 
-def local_wavenumber(wf: LineWaveFunction, x: float) -> float:
-    """Signed Lorentzian sum: zeros contribute Im(a)/|x-a|^2 per unit
-    multiplicity, poles the negative of that. Undefined on a real zero."""
-    k = 0.0
-    for r in wf.spec.zeros:
-        u, v = r.position.real, r.position.imag
-        d2 = (x - u) ** 2 + v * v
-        if d2 < 1e-24:
-            raise SingularPoint(f"local wave number undefined at the real zero x={x}")
-        k += r.multiplicity * v / d2
-    for r in wf.spec.poles:
-        u, v = r.position.real, r.position.imag
-        k -= r.multiplicity * v / ((x - u) ** 2 + v * v)
-    return k
+def _defined(d2, x, message):
+    """d2 = |x - zero|^2 with the points closer than 1e-12 to a zero of psi
+    excluded, since the phase is undefined there: a scalar x raises
+    SingularPoint, an array gets NaN (which the caller's sum carries on
+    without a division warning)."""
+    bad = d2 < 1e-24
+    if isinstance(bad, np.ndarray):
+        return np.where(bad, np.nan, d2)
+    if bad:
+        raise SingularPoint(f"{message} x={x}")
+    return d2
 
 
-def _wavenumber_derivative(wf: LineWaveFunction, x: float) -> float:
-    dk = 0.0
-    for r in wf.spec.zeros:
-        u, v = r.position.real, r.position.imag
-        d2 = (x - u) ** 2 + v * v
-        dk += r.multiplicity * v * (-2.0) * (x - u) / (d2 * d2)
-    for r in wf.spec.poles:
-        u, v = r.position.real, r.position.imag
-        d2 = (x - u) ** 2 + v * v
-        dk -= r.multiplicity * v * (-2.0) * (x - u) / (d2 * d2)
-    return dk
-
-
-def probability_current(wf: LineWaveFunction, x: float) -> float:
-    """j(x) = |psi|^2 k(x); zero at real zeros of psi, where the vanishing
-    density dominates the phase singularity."""
-    v = complex(eval_psi(wf, x))
-    dens = v.real * v.real + v.imag * v.imag
+def _current(psi, k_of, wf, x):
+    """j = |psi|^2 k with k = k_of(wf, x); zero where psi vanishes, since the
+    vanishing density dominates the phase singularity there."""
+    dens = psi.real * psi.real + psi.imag * psi.imag
+    if not np.isscalar(x):
+        k = k_of(wf, x)
+        return np.where((dens == 0.0) | np.isnan(k), 0.0, dens * k)
     if dens == 0.0:
         return 0.0
     try:
-        k = local_wavenumber(wf, x)
+        return dens * k_of(wf, x)
     except SingularPoint:
         return 0.0
-    return dens * k
+
+
+def _lorentzian_sum(wf: LineWaveFunction, x, slope: bool = False):
+    """Sum over roots of +-mult * v / ((x-u)^2 + v^2), zeros counted
+    positive and poles negative, or its x-derivative when `slope` is set."""
+    if not np.isscalar(x):
+        x = np.asarray(x, float)
+    total = 0.0
+    for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+        for r in roots:
+            u, v = r.position.real, r.position.imag
+            d2 = (x - u) ** 2 + v * v
+            if sign > 0:
+                d2 = _defined(d2, x, "local wave number undefined at the real zero")
+            w = sign * r.multiplicity * v
+            total = total + (w * -2.0 * (x - u) / (d2 * d2) if slope else w / d2)
+    return total
+
+
+def local_wavenumber(wf: LineWaveFunction, x):
+    """Signed Lorentzian sum at x, a scalar or an array: zeros contribute
+    Im(a)/|x-a|^2 per unit multiplicity, poles the negative of that.
+    Undefined on a real zero: SingularPoint for a scalar, NaN in an array."""
+    return _lorentzian_sum(wf, x)
+
+
+def probability_current(wf: LineWaveFunction, x):
+    """j(x) = |psi|^2 k(x) at x, a scalar or an array; zero at real zeros of psi."""
+    return _current(eval_psi(wf, x), local_wavenumber, wf, x)
 
 
 def _lorentzian_terms(spec: RationalSpec) -> list[tuple[float, float, float]]:
@@ -313,13 +337,16 @@ def _k_numerator(terms) -> tuple[Poly, Poly]:
     return T, D
 
 
-def _safe_k(wf: LineWaveFunction, x: float) -> float:
+def _safe_k(wf: LineWaveFunction, xs) -> np.ndarray:
+    """k at each of xs, nudging points off the real zeros of psi."""
+    xs = np.asarray(xs, float)
     for attempt in range(6):
-        try:
-            return local_wavenumber(wf, x)
-        except SingularPoint:
-            x = x + (1e-7 + attempt * 1e-6) * (1.0 + abs(x))
-    raise SingularPoint(f"could not evaluate k near x={x}")
+        k = local_wavenumber(wf, xs)
+        bad = np.isnan(k)
+        if not bad.any():
+            return k
+        xs = np.where(bad, xs + (1e-7 + attempt * 1e-6) * (1.0 + np.abs(xs)), xs)
+    raise SingularPoint(f"could not evaluate k near x={xs[bad]}")
 
 
 def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
@@ -340,10 +367,10 @@ def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
             x = root.value
             # polish on k directly (cheap, and pins |k(endpoint)| near machine zero)
             for _ in range(3):
-                dk = _wavenumber_derivative(wf, x)
-                if dk == 0.0:
-                    break
                 try:
+                    dk = _lorentzian_sum(wf, x, slope=True)
+                    if dk == 0.0:
+                        break
                     x -= local_wavenumber(wf, x) / dk
                 except SingularPoint:
                     break
@@ -357,7 +384,7 @@ def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
         for a, b in zip(crossings, crossings[1:]):
             probes.append(0.5 * (a + b))
         probes.append(crossings[-1] + span)
-        signs = [_safe_k(wf, x) < 0 for x in probes]
+        signs = (_safe_k(wf, probes) < 0).tolist()
         bounds = [-math.inf] + crossings + [math.inf]
         for i, neg in enumerate(signs):
             if neg:
@@ -366,23 +393,18 @@ def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
             if not signs[i] and not signs[i + 1]:
                 tangencies.append(x)
     else:
-        if _safe_k(wf, 0.0) < 0:
+        if _safe_k(wf, [0.0])[0] < 0:
             intervals.append((-math.inf, math.inf))
 
     # global minimum of k from its critical points; the tails approach 0
     min_k, min_k_loc = 0.0, math.inf
     crit = poly_add(poly_mul(poly_derivative(T), D), poly_scale(poly_mul(T, poly_derivative(D)), -1.0))
     if crit.degree >= 1:
-        try:
-            for root in real_roots(crit):
-                try:
-                    val = local_wavenumber(wf, root.value)
-                except SingularPoint:
-                    continue
-                if val < min_k:
-                    min_k, min_k_loc = val, root.value
-        except DegreeZero:  # pragma: no cover - guarded by degree check
-            pass
+        xs = np.array([root.value for root in real_roots(crit)])
+        ks = np.nan_to_num(local_wavenumber(wf, xs), nan=0.0)  # skip real zeros
+        if xs.size and ks.min() < min_k:
+            i = int(np.argmin(ks))
+            min_k, min_k_loc = float(ks[i]), float(xs[i])
 
     # minimum of the current: refined grid scan over the root neighbourhood
     positions = [r.position for r in wf.spec.zeros + wf.spec.poles]
@@ -392,7 +414,7 @@ def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
     lo = min(re_parts) - spread - pad
     hi = max(re_parts) + spread + pad
     xs = np.linspace(lo, hi, 4001)
-    js = np.array([probability_current(wf, float(x)) for x in xs])
+    js = probability_current(wf, xs)
     i0 = int(np.argmin(js))
     a = xs[max(i0 - 1, 0)]
     b = xs[min(i0 + 1, len(xs) - 1)]

@@ -32,6 +32,7 @@ from .errors import RootExtractionFailure, SpecViolation
 from .polyring import (
     Poly,
     complex_roots,
+    horner,
     poly_eval,
     poly_from_roots,
     root_residual,
@@ -107,13 +108,6 @@ def pade_numerator(problem: PadeProblem) -> Poly:
     return Poly(tuple(alpha))
 
 
-def profile_eval(coeffs, x):
-    acc = np.zeros(np.shape(x), complex) if not np.isscalar(x) else 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _refined_max(fun, xs, ys):
     """Largest local maximum of |psi|-like data, golden-section polished."""
     best = float(np.max(ys))
@@ -173,7 +167,7 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     xs = np.linspace(-x0, x0, 2001)
     denom_poly = poly_from_roots(problem.poles)
     rational = poly_eval(numerator, xs + 0j) / poly_eval(denom_poly, xs + 0j)
-    profile = profile_eval(problem.profile_coeffs, xs + 0j)
+    profile = horner(problem.profile_coeffs, xs + 0j)
     max_error = float(np.max(np.abs(rational - profile)))
 
     # amplitude price: global max of |psi| against its max on the interval

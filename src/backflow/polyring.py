@@ -100,12 +100,17 @@ def poly_from_roots(roots) -> Poly:
     return Poly(tuple(acc))
 
 
-def poly_eval(p: Poly, z):
-    """Horner evaluation; accepts complex scalars or numpy arrays."""
-    acc = 0.0 + 0j if np.isscalar(z) else np.zeros(np.shape(z), complex)
-    for c in reversed(p.coeffs):
+def horner(coeffs: Sequence[complex], z):
+    """sum(coeffs[k] * z**k) by Horner's rule; z is a scalar or a numpy array."""
+    acc = np.zeros(z.shape, complex) if isinstance(z, np.ndarray) else 0j
+    for c in reversed(coeffs):
         acc = acc * z + c
     return acc
+
+
+def poly_eval(p: Poly, z):
+    """p at z, a complex scalar or a numpy array."""
+    return horner(p.coeffs, z)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -194,15 +199,8 @@ def _eval_scale(coeffs: Sequence[complex], z: complex) -> float:
     return max(top * (1.0 + abs(z)) ** (len(coeffs) - 1), 1e-300)
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _rel_residual(coeffs: Sequence[complex], z: complex) -> float:
-    return abs(_horner(coeffs, z)) / _eval_scale(coeffs, z)
+    return abs(horner(coeffs, z)) / _eval_scale(coeffs, z)
 
 
 def _companion_eigenvalues(coeffs: Sequence[complex]) -> np.ndarray:
@@ -219,10 +217,10 @@ def _newton_polish(coeffs, dcoeffs, z0, iters=60):
     """Newton iteration keeping the best residual seen; works on R or C."""
     z, best, best_r = z0, z0, _rel_residual(coeffs, z0)
     for _ in range(iters):
-        dz = _horner(dcoeffs, z)
+        dz = horner(dcoeffs, z)
         if dz == 0:
             break
-        step = _horner(coeffs, z) / dz
+        step = horner(coeffs, z) / dz
         z = z - step
         r = _rel_residual(coeffs, z)
         if r < best_r:
@@ -263,9 +261,9 @@ def real_roots(p: Poly, *, residual_tol: float = 1e-12) -> list[RealRoot]:
         # bisection step when the polynomial changes sign around the estimate
         eps = 1e-7 * max(1.0, abs(x))
         lo, hi = x - eps, x + eps
-        flo, fhi = _horner(coeffs, lo).real, _horner(coeffs, hi).real
+        flo, fhi = horner(coeffs, lo).real, horner(coeffs, hi).real
         if flo * fhi < 0:
-            x = brentq(lambda t: _horner(coeffs, t).real, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            x = brentq(lambda t: horner(coeffs, t).real, lo, hi, xtol=1e-15, rtol=8.9e-16)
             res = _rel_residual(coeffs, x)
         if res <= residual_tol:
             accepted.append(x)

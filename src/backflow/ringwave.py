@@ -24,8 +24,8 @@ from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 
 from . import oracle
-from .contwave import BackflowReport, RationalSpec
-from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure
+from .contwave import BackflowReport, RationalSpec, _current, _defined
+from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
 from .polyring import Series, poly_from_roots, series_quotient
 
 TAIL_REL = 1e-16
@@ -59,12 +59,7 @@ class RingWaveFunction:
     def __call__(self, x):
         w = np.exp(2j * math.pi * np.asarray(x, float) / self.period) if not np.isscalar(x) \
             else cmath.exp(2j * math.pi * x / self.period)
-        num = 1.0 + 0j
-        for r in self.spec.zeros:
-            num = num * (w - r.position) ** r.multiplicity
-        den = 1.0 + 0j
-        for r in self.spec.poles:
-            den = den * (w - r.position) ** r.multiplicity
+        num, den = self.spec.products(w)
         return self.norm_constant * num / den
 
 
@@ -146,56 +141,33 @@ def ring_spectrum(wf: RingWaveFunction) -> MomentumSpectrumRing:
     )
 
 
-def ring_wavenumber(wf: RingWaveFunction, x: float) -> float:
-    """Local wave number on the ring; roots outside the unit circle contribute
-    negative values wherever their numerator 1 - |r| cos(...) has the right sign."""
+def ring_wavenumber(wf: RingWaveFunction, x):
+    """Local wave number on the ring at x, a scalar or an array; roots outside
+    the unit circle contribute negative values wherever their numerator
+    1 - |r| cos(...) has the right sign. Undefined on a circle zero:
+    SingularPoint for a scalar, NaN in an array."""
+    if np.isscalar(x):
+        exp, cos = cmath.exp, math.cos
+    else:
+        exp, cos, x = np.exp, np.cos, np.asarray(x, float)
     theta = 2 * math.pi * x / wf.period
-    w = cmath.exp(1j * theta)
+    w = exp(1j * theta)
     total = 0.0
-    for r in wf.spec.zeros:
-        pos = r.position
-        d2 = abs(w - pos) ** 2
-        if d2 < 1e-24:
-            raise SingularPoint(f"wave number undefined at the circle zero x={x}")
-        mag = abs(pos)
-        num = 1.0 - mag * math.cos(theta - cmath.phase(pos)) if mag else 1.0
-        total += r.multiplicity * num / d2
-    for r in wf.spec.poles:
-        pos = r.position
-        d2 = abs(w - pos) ** 2
-        num = 1.0 - abs(pos) * math.cos(theta - cmath.phase(pos))
-        total -= r.multiplicity * num / d2
+    for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+        for r in roots:
+            pos = r.position
+            d2 = abs(w - pos) ** 2
+            if sign > 0:
+                d2 = _defined(d2, x, "wave number undefined at the circle zero")
+            num = 1.0 - abs(pos) * cos(theta - cmath.phase(pos))
+            total = total + sign * r.multiplicity * num / d2
     return (2 * math.pi / wf.period) * total
 
 
-def _wavenumber_grid(wf: RingWaveFunction, x: np.ndarray) -> np.ndarray:
-    theta = 2 * np.pi * x / wf.period
-    w = np.exp(1j * theta)
-    total = np.zeros_like(x, dtype=float)
-    for r in wf.spec.zeros:
-        pos = r.position
-        d2 = np.abs(w - pos) ** 2
-        mag = abs(pos)
-        num = 1.0 - mag * np.cos(theta - cmath.phase(pos)) if mag else np.ones_like(theta)
-        total += r.multiplicity * np.where(d2 < 1e-24, np.nan, num / d2)
-    for r in wf.spec.poles:
-        pos = r.position
-        d2 = np.abs(w - pos) ** 2
-        num = 1.0 - abs(pos) * np.cos(theta - cmath.phase(pos))
-        total -= r.multiplicity * num / d2
-    return (2 * np.pi / wf.period) * total
-
-
-def ring_current(wf: RingWaveFunction, x: float) -> float:
-    """j(x) = |psi|^2 k(x); zero where psi vanishes on the circle."""
-    v = complex(wf(x))
-    dens = v.real * v.real + v.imag * v.imag
-    if dens == 0.0:
-        return 0.0
-    try:
-        return dens * ring_wavenumber(wf, x)
-    except SingularPoint:
-        return 0.0
+def ring_current(wf: RingWaveFunction, x):
+    """j(x) = |psi|^2 k(x) at x, a scalar or an array; zero where psi
+    vanishes on the circle."""
+    return _current(wf(x), ring_wavenumber, wf, x)
 
 
 def ring_backflow_intervals(wf: RingWaveFunction, samples: int = 4096) -> BackflowReport:
@@ -204,20 +176,18 @@ def ring_backflow_intervals(wf: RingWaveFunction, samples: int = 4096) -> Backfl
     [-L/2, L/2); an arc crossing the period seam keeps hi = lo + width."""
     L = wf.period
     xs = np.arange(samples) * (L / samples)
-    ks = _wavenumber_grid(wf, xs)
+    ks = ring_wavenumber(wf, xs)
     ks = np.where(np.isnan(ks), np.inf, ks)  # circle zeros: treat as positive spikes
 
-    crossings: list[float] = []
-    for i in range(samples):
-        j = (i + 1) % samples
-        a, b = ks[i], ks[j]
-        if a == 0.0:
-            crossings.append(float(xs[i]))
-            continue
-        if (a < 0) != (b < 0) and math.isfinite(a) and math.isfinite(b):
-            lo, hi = float(xs[i]), float(xs[i]) + L / samples
-            root = brentq(lambda t: ring_wavenumber(wf, t), lo, hi, xtol=1e-14, rtol=8.9e-16)
-            crossings.append(float(root))
+    # a grid point where k is exactly 0 is a crossing; otherwise a sign change
+    # between finite neighbours brackets one
+    nxt = np.roll(ks, -1)
+    exact = ks == 0.0
+    bracket = ~exact & ((ks < 0) != (nxt < 0)) & np.isfinite(ks) & np.isfinite(nxt)
+    crossings = xs[exact].tolist()
+    for lo in xs[bracket].tolist():
+        root = brentq(lambda t: ring_wavenumber(wf, t), lo, lo + L / samples, xtol=1e-14, rtol=8.9e-16)
+        crossings.append(float(root))
     crossings = sorted(set(crossings))
 
     intervals: list[tuple[float, float]] = []
@@ -227,23 +197,20 @@ def ring_backflow_intervals(wf: RingWaveFunction, samples: int = 4096) -> Backfl
         elif bool(np.all(ks < 0)):  # pragma: no cover - impossible for valid specs
             intervals.append((-L / 2, L / 2))
     else:
-        for i, lo in enumerate(crossings):
-            hi = crossings[(i + 1) % len(crossings)]
-            if hi <= lo:
-                hi += L
-            mid = math.fmod(0.5 * (lo + hi), L)
-            try:
-                negative = ring_wavenumber(wf, mid) < 0
-            except SingularPoint:
-                negative = ring_wavenumber(wf, mid + 1e-9 * L) < 0
-            if negative:
-                width = hi - lo
-                start = lo
-                while start >= L / 2:
-                    start -= L
-                while start < -L / 2:
-                    start += L
-                intervals.append((start, start + width))
+        # each crossing opens an arc that ends at the next one, cyclically
+        los = np.array(crossings)
+        his = np.array(crossings[1:] + [crossings[0] + L])
+        mids = np.fmod(0.5 * (los + his), L)
+        k_mid = ring_wavenumber(wf, mids)
+        k_mid = np.where(np.isnan(k_mid), ring_wavenumber(wf, mids + 1e-9 * L), k_mid)
+        for lo, hi in zip(los[k_mid < 0].tolist(), his[k_mid < 0].tolist()):
+            width = hi - lo
+            start = lo
+            while start >= L / 2:
+                start -= L
+            while start < -L / 2:
+                start += L
+            intervals.append((start, start + width))
         intervals.sort()
 
     # extremal wave number and current over the period, grid + local refinement
@@ -258,7 +225,7 @@ def ring_backflow_intervals(wf: RingWaveFunction, samples: int = 4096) -> Backfl
     if ks[i_k] < min_k:
         min_k, min_k_loc = float(ks[i_k]), float(xs[i_k])
 
-    js = np.where(np.isfinite(ks), np.abs(wf(xs)) ** 2 * ks, 0.0)
+    js = ring_current(wf, xs)
     i_j = int(np.argmin(js))
     min_j, min_j_loc = refine(lambda t: ring_current(wf, float(t)), i_j)
     if js[i_j] < min_j:

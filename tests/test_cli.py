@@ -187,6 +187,26 @@ class TestFigure:
         assert sign_changes[1] == pytest.approx(edge, abs=xs[1] - xs[0])
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+@pytest.mark.parametrize("command", ["analyze", "design", "figure"])
+def test_fewer_than_two_samples_exits_1(tmp_path, command, samples):
+    if command == "analyze":
+        args = ["--input", write_descriptor(tmp_path, EXAMPLE_ONE), "--output", str(tmp_path / "out")]
+    elif command == "design":
+        design = {
+            "profile": {"kind": "exp", "kappa": -1.0},
+            "m": 8,
+            "x0": math.pi,
+            "poles": [{"re": 0.0, "im": -3 * math.pi, "mult": 9}],
+        }
+        args = ["--input", write_descriptor(tmp_path, design), "--output", str(tmp_path / "out")]
+    else:
+        args = ["--figure", "1", "--output", str(tmp_path / "figs")]
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main([command, *args, "--samples", samples]) == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 class TestVerify:
     def test_example_one_passes(self, tmp_path, capsys):
         inp = write_descriptor(tmp_path, EXAMPLE_ONE)
