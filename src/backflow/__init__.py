@@ -5,7 +5,7 @@ positive yet whose probability current turns negative in controllable
 regions: on the real line (poles in the lower half-plane, backflow from
 zeros placed below the axis) and on a ring (poles outside the unit circle).
 Momentum spectra come out of residue/Taylor calculus in closed form,
-backflow regions from exact polynomial root finding, and every analytic
+backflow regions from exact trigonometric root finding, and every analytic
 result can be checked against the brute-force quadrature oracle.
 """
 

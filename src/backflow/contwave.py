@@ -10,8 +10,10 @@ the root data alone:
   with coefficients read off a truncated Taylor quotient at each pole;
 * the local wave number k(x) is a signed sum of Lorentzians, one per root,
   negative bumps coming from zeros placed below the axis;
-* backflow regions are the sublevel set k < 0, found exactly by clearing
-  denominators into a real polynomial and classifying sign changes.
+* backflow regions are the sublevel set k < 0. Under x = c + s tan(theta/2)
+  each Lorentzian denominator is a degree-1 trigonometric polynomial, so the
+  sign changes and critical points of k and j are the real roots of
+  trigonometric polynomials (_circle_report, shared with the ring).
 
 Units: hbar = mass = 1; x in units of an arbitrary length scale, momenta in
 its inverse, currents in the corresponding frequency.
@@ -22,28 +24,28 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import oracle
 from .errors import QuadratureFailure, SingularPoint, SpecViolation
 from .polyring import (
     Poly,
     Series,
-    poly_add,
+    circle_roots,
     horner,
-    poly_derivative,
     poly_from_roots,
     poly_mul,
-    poly_scale,
-    real_roots,
     series_from_poly,
     series_quotient,
 )
 
 MERGE_TOL = 1e-9
+# Sign changes of k closer than this in theta are one (a tangency), and on the line
+# roots this close to theta = pi are x = +-inf; ROUNDOFF_K is the round-off of k.
+ROOT_MERGE = 1e-7
+ROUNDOFF_K = 1e-12
 _SQRT_2PI = math.sqrt(2 * math.pi)
 
 
@@ -174,8 +176,9 @@ class BackflowReport:
     """Maximal open regions with k < 0, plus extremal values of k and j.
 
     Half-infinite regions carry -inf/inf endpoints. `tangencies` lists points
-    where k touches zero without changing sign (zero-width backflow); the
-    minima locations use inf when the infimum is only approached in the tails.
+    where k touches zero without changing sign (zero-width backflow). On the
+    line a minimum that is not negative is reported as 0 at inf, the value
+    that k and j approach in the tails (j is also 0 on a real zero of psi).
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -311,128 +314,155 @@ def probability_current(wf: LineWaveFunction, x):
     return _current(eval_psi(wf, x), local_wavenumber, wf, x)
 
 
-def _lorentzian_terms(spec: RationalSpec) -> list[tuple[float, float, float]]:
-    terms = []
-    for r in spec.zeros:
-        if r.position.imag != 0.0:
-            terms.append((r.position.real, r.position.imag, r.multiplicity * r.position.imag))
-    for r in spec.poles:
-        terms.append((r.position.real, r.position.imag, -r.multiplicity * r.position.imag))
-    return terms
+class _Chart(NamedTuple):
+    """A geometry on the circle theta, x = to_x(theta): k = lam (c0 + sum n/q) and
+    dk/dx = lam sum g/q^2 over `roots`, lam(theta) > 0, and d log|psi|^2 / dx =
+    sum f/q over `roots` and `zeros` (on the line or circle). n, g, f are given
+    as (a, b, c) for a + b cos(theta) + c sin(theta); q = |P - zeta Q|^2 with
+    (P, Q, P', Q') = frame(theta) keeps a small q exact. Rows: (zeta, theta of
+    least q, n, g, f) per root, (zeta, theta, f) per zero."""
+
+    c0: float
+    roots: list
+    zeros: list
+    frame: Callable
+    to_x: Callable
+    period: float | None  # None on the line, whose theta = pi is x = +-inf
 
 
-def _k_numerator(terms) -> tuple[Poly, Poly]:
-    """k = T/D over the common positive denominator D = prod((x-u)^2 + v^2)."""
-    qs = [Poly((u * u + v * v, -2.0 * u, 1.0)) for u, v, _ in terms]
-    D = Poly((1.0 + 0j,))
-    for q in qs:
-        D = poly_mul(D, q)
-    T = Poly(())
-    for l, (_, _, w) in enumerate(terms):
-        part = Poly((w + 0j,))
-        for j, q in enumerate(qs):
-            if j != l:
-                part = poly_mul(part, q)
-        T = poly_add(T, part)
-    return T, D
+def _ratio(a, da, q, dq, power: int):
+    """sum_l a_l / q_l^power and its derivative, from values and derivatives."""
+    return (a / q**power).sum(0), ((da * q - power * a * dq) / q ** (power + 1)).sum(0)
 
 
-def _safe_k(wf: LineWaveFunction, xs) -> np.ndarray:
-    """k at each of xs, nudging points off the real zeros of psi."""
-    xs = np.asarray(xs, float)
-    for attempt in range(6):
-        k = local_wavenumber(wf, xs)
-        bad = np.isnan(k)
-        if not bad.any():
-            return k
-        xs = np.where(bad, xs + (1e-7 + attempt * 1e-6) * (1.0 + np.abs(xs)), xs)
-    raise SingularPoint(f"could not evaluate k near x={xs[bad]}")
+def _numerators(c0, q, n, g, f, K):
+    """k prod q, k' prod q^2 and (k' + k (log|psi|^2)') prod q^2 prod q0 over lam, q over
+    the K roots, q0 over the zeros; from absolute values, the sizes of these sums."""
+    q, q0 = q[:K], q[K:]
+    prod, prod0 = np.prod(q, axis=0), np.prod(q0, axis=0)
+    others = prod / q  # q > 0 on the circle
+    k = c0 * prod + (n[:K] * others).sum(0)
+    dk = (g[:K] * others**2).sum(0)
+    others0 = np.array([np.prod(np.delete(q0, l, 0), 0) for l in range(len(q0))]).reshape(q0.shape)
+    log_slope = prod0 * (f[:K] * others).sum(0) + prod * (f[K:] * others0).sum(0)
+    return k, dk, k * log_slope + dk * prod0
+
+
+def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
+    """Backflow regions and extrema of k and j from the real roots of the
+    _numerators of k, k' and j' = (|psi|^2 k)', trigonometric polynomials of
+    degrees K, 2K and 2K + K0 (K roots, K0 zeros) sampled on one theta grid.
+    Each root is polished by Newton steps on k, k' or j' themselves; a sign
+    change is kept when |k| is then at round-off of its terms. The sign of k
+    at their midpoints, finite even on a zero of psi, classifies the pieces
+    between sign changes; one with k >= 0 on both sides is a tangency. The
+    minima are the lowest k and j over the critical points (line: from 0 at inf)."""
+    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
+    rows = chart.roots + [(*z[:2], (0.0,) * 3, (0.0,) * 3, z[2]) for z in chart.zeros]  # n = g = 0
+    zeta = np.array([row[0] for row in rows], complex)[:, None]
+    table = np.array([row[2:] for row in rows], float).reshape(-1, 3, 3).transpose(1, 0, 2)
+
+    def at(theta):  # q, n, g, f at theta, and their theta-derivatives
+        P, Q, dP, dQ = chart.frame(theta)
+        u, du, cos, sin = P - zeta * Q, dP - zeta * dQ, np.cos(theta), np.sin(theta)
+        q, dq = u.real**2 + u.imag**2, 2 * (u.real * du.real + u.imag * du.imag)
+        n, g, f = table @ np.array([np.ones_like(theta), cos, sin])
+        dn, dg, df = table @ np.array([0 * theta, -sin, cos])
+        return (q, n, g, f), (dq, dn, dg, df)
+
+    degrees = (K, 2 * K, K + len(rows))
+    size = 4 << degrees[2].bit_length()
+    grid = (2 * math.pi / size) * np.arange(size)
+    on_grid = np.array(at(grid)[0])
+    # the sums and their sizes in one pass, side by side along the grid axis
+    sums = _numerators(np.repeat([c0, abs(c0)], size), *np.concatenate([on_grid, np.abs(on_grid)], -1), K)
+    found = [circle_roots(s[:size], d, s[size:]) for s, d in zip(sums, degrees)]
+    if line:  # theta = pi is x = +-inf
+        found = [theta[np.abs(theta) < math.pi - ROOT_MERGE] for theta in found]
+    else:  # a constant k or j on the ring has no critical points
+        found[1:] = [theta if theta.size else grid for theta in found[1:]]
+    # a narrow dip is below the polynomials' round-off: Newton from each q's least too
+    centres = np.array([row[1] for row in rows])
+    kind = np.repeat([0, 1, 2, 1, 2], [*(theta.size for theta in found), centres.size, centres.size])
+    theta = np.concatenate([*found, centres, centres])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a start on a zero of psi
+        for _ in range(3):
+            (q, n, g, f), (dq, dn, dg, df) = at(theta)
+            kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
+            kap = kap + c0
+            slope, dslope = _ratio(g[:K], dg[:K], q[:K], dq[:K], 2)
+            log, dlog = _ratio(f, df, q, dq, 1)
+            value = np.choose(kind, [kap, slope, slope + kap * log])
+            dvalue = np.choose(kind, [dkap, dslope, dslope + dkap * log + kap * dlog])
+            step = np.isfinite(value) & np.isfinite(dvalue) & (dvalue != 0)
+            theta = theta - np.divide(value, dvalue, out=np.zeros_like(value), where=step)
+    theta = np.remainder(theta + math.pi, 2 * math.pi) - math.pi
+    if line:
+        kind[np.abs(theta) >= math.pi - ROOT_MERGE] = -1
+
+    def kappa(theta):  # k / lam and the size of its terms a, b cos, c sin, which bounds its round-off
+        q, n, _, _ = at(theta)[0]
+        n_size = np.abs(table[0, :K]) @ np.abs([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+        return c0 + (n[:K] / q[:K]).sum(0), abs(c0) + (n_size / q[:K]).sum(0)
+
+    crossing = np.sort(theta[kind == 0])
+    kap, k_size = kappa(crossing)
+    crossing = crossing[np.abs(kap) <= ROUNDOFF_K * k_size]
+    wrap = -math.inf if line else crossing[-1:] - 2 * math.pi  # the ring is cyclic
+    crossing = crossing[np.diff(crossing, prepend=wrap) > ROOT_MERGE]
+    x = chart.to_x(crossing).tolist()
+    if not line:  # into [-L/2, L/2)
+        x = [t - chart.period if t >= 0.5 * chart.period else t for t in x]
+
+    # cyclic pieces between crossings; theta = pi bounds one on the line and on a ring without any
+    bounds = np.append(crossing, [math.pi] if line or not x else [])
+    ends = np.append(bounds[1:], bounds[0] + 2 * math.pi)
+    negative = (kappa(0.5 * (bounds + ends))[0] < 0).tolist()
+    tangencies = [x[i] for i in range(len(x)) if not (negative[i - 1] or negative[i])]
+    intervals = []
+    ends_x = x + [math.inf]
+    for i, neg in enumerate(negative):
+        if not neg:
+            continue
+        if line:  # the piece from theta = pi runs from x = -inf
+            intervals.append((ends_x[i] if i < len(x) else -math.inf, ends_x[(i + 1) % len(ends_x)]))
+        else:
+            lo = x[i] if x else -0.5 * chart.period
+            intervals.append((lo, lo + float(ends[i] - bounds[i]) * chart.period / (2 * math.pi)))
+
+    def lowest(of, which):  # over the roots as found and as polished
+        xs = chart.to_x(np.concatenate([found[which], theta[kind == which]]))
+        vals = np.where(np.isnan(v := of(wf, xs)), math.inf, v) if xs.size else xs
+        if line and not (xs.size and vals.min() < 0):
+            return 0.0, math.inf
+        i = int(np.argmin(vals))
+        return float(vals[i]), float(xs[i])
+
+    return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
 
 
 def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
-    """Locate every maximal region with k < 0 by exact polynomial root finding.
-
-    The Lorentzian sum is cleared into a real polynomial whose real roots are
-    the candidate endpoints; each is polished by a Newton step on k itself,
-    then the sign of k classifies the subintervals. Minima of k come from the
-    critical-point polynomial; the current minimum from a refined grid scan.
-    """
-    terms = _lorentzian_terms(wf.spec)
-    T, D = _k_numerator(terms)
-
-    crossings: list[float] = []
-    tangencies: list[float] = []
-    if T.degree >= 1:
-        for root in real_roots(T):
-            x = root.value
-            # polish on k directly (cheap, and pins |k(endpoint)| near machine zero)
-            for _ in range(3):
-                try:
-                    dk = _lorentzian_sum(wf, x, slope=True)
-                    if dk == 0.0:
-                        break
-                    x -= local_wavenumber(wf, x) / dk
-                except SingularPoint:
-                    break
-            crossings.append(x)
-    crossings.sort()
-
-    intervals: list[tuple[float, float]] = []
-    if crossings:
-        span = max(crossings[-1] - crossings[0], 1.0)
-        probes = [crossings[0] - span]
-        for a, b in zip(crossings, crossings[1:]):
-            probes.append(0.5 * (a + b))
-        probes.append(crossings[-1] + span)
-        signs = (_safe_k(wf, probes) < 0).tolist()
-        bounds = [-math.inf] + crossings + [math.inf]
-        for i, neg in enumerate(signs):
-            if neg:
-                intervals.append((bounds[i], bounds[i + 1]))
-        for i, x in enumerate(crossings):
-            if not signs[i] and not signs[i + 1]:
-                tangencies.append(x)
-    else:
-        if _safe_k(wf, [0.0])[0] < 0:
-            intervals.append((-math.inf, math.inf))
-
-    # global minimum of k from its critical points; the tails approach 0
-    min_k, min_k_loc = 0.0, math.inf
-    crit = poly_add(poly_mul(poly_derivative(T), D), poly_scale(poly_mul(T, poly_derivative(D)), -1.0))
-    if crit.degree >= 1:
-        xs = np.array([root.value for root in real_roots(crit)])
-        ks = np.nan_to_num(local_wavenumber(wf, xs), nan=0.0)  # skip real zeros
-        if xs.size and ks.min() < min_k:
-            i = int(np.argmin(ks))
-            min_k, min_k_loc = float(ks[i]), float(xs[i])
-
-    # minimum of the current: refined grid scan over the root neighbourhood
+    """Every maximal region with k < 0, the tangencies of k with 0 and the minima
+    of k and j, exactly, on the circle x = c + s tan(theta/2), c the mean real part
+    of the roots and s their median distance from c. For u + iv = c + s(d + iw),
+    (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw) cos(theta/2)|^2
+    = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
     positions = [r.position for r in wf.spec.zeros + wf.spec.poles]
-    re_parts = [z.real for z in positions]
-    pad = 5.0 * max(1.0, max(abs(z.imag) for z in positions))
-    spread = max(re_parts) - min(re_parts)
-    lo = min(re_parts) - spread - pad
-    hi = max(re_parts) + spread + pad
-    xs = np.linspace(lo, hi, 4001)
-    js = probability_current(wf, xs)
-    i0 = int(np.argmin(js))
-    a = xs[max(i0 - 1, 0)]
-    b = xs[min(i0 + 1, len(xs) - 1)]
-    res = minimize_scalar(lambda t: probability_current(wf, float(t)), bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
-    if res.fun < js[i0]:
-        min_j, min_j_loc = float(res.fun), float(res.x)
-    else:
-        min_j, min_j_loc = float(js[i0]), float(xs[i0])
-
-    return BackflowReport(
-        intervals=tuple(intervals),
-        min_wavenumber=min_k,
-        min_wavenumber_location=min_k_loc,
-        min_current=min_j,
-        min_current_location=min_j_loc,
-        tangencies=tuple(tangencies),
-    )
+    c = sum(z.real for z in positions) / len(positions)
+    dist = sorted(abs(z - c) for z in positions)
+    s = (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2  # the median
+    roots, zeros = [], []
+    for sign, group in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+        for r in group:
+            d, w, m = (r.position.real - c) / s, r.position.imag / s, sign * r.multiplicity
+            f = (-m * d / s, -m * d / s, m / s)  # 2 m cos(theta/2) e / s
+            if w == 0.0:
+                zeros.append((complex(d, w), 2 * math.atan(d), f))
+            else:
+                roots.append((complex(d, w), 2 * math.atan(d), (m * w, 0, 0), tuple(-w * e for e in f), f))
+    half = (lambda t: (np.sin(t / 2), np.cos(t / 2), np.cos(t / 2) / 2, -np.sin(t / 2) / 2))
+    chart = _Chart(0.0, roots, zeros, half, lambda t: c + s * np.tan(t / 2), None)
+    return _circle_report(wf, chart, local_wavenumber, probability_current)
 
 
 def with_phase(wf: LineWaveFunction, phase: complex) -> LineWaveFunction:

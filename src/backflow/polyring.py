@@ -4,8 +4,8 @@ Everything downstream (residue spectra, Fourier coefficients, Pade
 numerators, backflow interval endpoints) reduces to dense polynomial
 arithmetic at modest degree plus truncated Taylor-series division.
 Coefficients are plain Python complex numbers in ascending powers; numpy
-handles convolutions and the companion-matrix eigenvalue step of root
-finding, after which roots are polished by Newton/bisection.
+handles convolutions, FFTs and the companion-matrix eigenvalue step of root
+finding, on the line and (circle_roots) on the unit circle.
 """
 
 from __future__ import annotations
@@ -17,10 +17,14 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DegreeZero, ZeroLeadingDenominator
+from .errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 
 # Trailing coefficients below this relative size are round-off, not degree.
 STRIP_REL = 1e-14
+# circle_roots: Fourier coefficients below this share of the size of the
+# summed terms are round-off, and roots this close to |z| = 1 lie on it.
+CIRCLE_TAIL = 1e-13
+CIRCLE_BAND = 0.1
 
 
 def _strip(coeffs: Iterable[complex]) -> tuple[complex, ...]:
@@ -119,24 +123,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return Poly(tuple(np.convolve(a.coeffs, b.coeffs)))
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    cs = [0j] * n
-    for i, c in enumerate(a.coeffs):
-        cs[i] += c
-    for i, c in enumerate(b.coeffs):
-        cs[i] += c
-    return Poly(tuple(cs))
-
-
-def poly_scale(a: Poly, s: complex) -> Poly:
-    return Poly(tuple(s * c for c in a.coeffs))
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return Poly(tuple(k * c for k, c in enumerate(p.coeffs) if k >= 1))
-
-
 def poly_taylor_shift(p: Poly, center: complex) -> Poly:
     """Coefficients of u -> p(center + u), by repeated synthetic division."""
     a = list(p.coeffs)
@@ -194,13 +180,10 @@ def series_quotient(num: Series, den: Series, order: int) -> Series:
 # root finding
 
 
-def _eval_scale(coeffs: Sequence[complex], z: complex) -> float:
-    top = max(abs(c) for c in coeffs)
-    return max(top * (1.0 + abs(z)) ** (len(coeffs) - 1), 1e-300)
-
-
-def _rel_residual(coeffs: Sequence[complex], z: complex) -> float:
-    return abs(horner(coeffs, z)) / _eval_scale(coeffs, z)
+def _rel_residual(coeffs: Sequence[complex], z: complex, top: float) -> float:
+    """|p(z)| / (top (1 + |z|)^deg), top = max |coeffs|, computed once per polynomial."""
+    scale = max(top * (1.0 + abs(z)) ** (len(coeffs) - 1), 1e-300)
+    return abs(horner(coeffs, z)) / scale
 
 
 def _companion_eigenvalues(coeffs: Sequence[complex]) -> np.ndarray:
@@ -213,16 +196,17 @@ def _companion_eigenvalues(coeffs: Sequence[complex]) -> np.ndarray:
     return np.linalg.eigvals(mat)
 
 
-def _newton_polish(coeffs, dcoeffs, z0, iters=60):
-    """Newton iteration keeping the best residual seen; works on R or C."""
-    z, best, best_r = z0, z0, _rel_residual(coeffs, z0)
+def _newton_polish(coeffs, dcoeffs, z0, top, iters=60):
+    """Newton iteration keeping the best residual seen; works on R or C.
+    top = max |coeffs|, the residual scale of the polynomial."""
+    z, best, best_r = z0, z0, _rel_residual(coeffs, z0, top)
     for _ in range(iters):
         dz = horner(dcoeffs, z)
         if dz == 0:
             break
         step = horner(coeffs, z) / dz
         z = z - step
-        r = _rel_residual(coeffs, z)
+        r = _rel_residual(coeffs, z, top)
         if r < best_r:
             best, best_r = z, r
         if abs(step) <= 1e-16 * (1.0 + abs(z)):
@@ -246,6 +230,7 @@ def real_roots(p: Poly, *, residual_tol: float = 1e-12) -> list[RealRoot]:
     if deg < 1:
         raise DegreeZero("constant polynomial has no root structure")
     dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+    ctop = max(abs(c) for c in coeffs)
 
     if deg == 1:
         raw = [-coeffs[0] / coeffs[1] + 0j]
@@ -256,7 +241,7 @@ def real_roots(p: Poly, *, residual_tol: float = 1e-12) -> list[RealRoot]:
     for lam in raw:
         if abs(lam.imag) > 1e-4 * max(1.0, abs(lam)):
             continue
-        x, res = _newton_polish(coeffs, dcoeffs, float(lam.real))
+        x, res = _newton_polish(coeffs, dcoeffs, float(lam.real), ctop)
         x = float(x.real) if isinstance(x, complex) else float(x)
         # bisection step when the polynomial changes sign around the estimate
         eps = 1e-7 * max(1.0, abs(x))
@@ -264,7 +249,7 @@ def real_roots(p: Poly, *, residual_tol: float = 1e-12) -> list[RealRoot]:
         flo, fhi = horner(coeffs, lo).real, horner(coeffs, hi).real
         if flo * fhi < 0:
             x = brentq(lambda t: horner(coeffs, t).real, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            res = _rel_residual(coeffs, x)
+            res = _rel_residual(coeffs, x, ctop)
         if res <= residual_tol:
             accepted.append(x)
 
@@ -285,9 +270,10 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     if deg < 1:
         raise DegreeZero("constant polynomial has no root structure")
     dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+    top = max(abs(c) for c in coeffs)
     polished = []
     for lam in _companion_eigenvalues(coeffs):
-        z, _ = _newton_polish(coeffs, dcoeffs, complex(lam), iters=40)
+        z, _ = _newton_polish(coeffs, dcoeffs, complex(lam), top, iters=40)
         polished.append(complex(z))
     polished.sort(key=lambda z: (z.real, z.imag))
     out: list[tuple[complex, int]] = []
@@ -299,6 +285,32 @@ def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     return out
 
 
+def circle_roots(samples, degree: int, size) -> np.ndarray:
+    """Sorted angles in (-pi, pi] of the roots near |z| = 1, z = e^{i theta}, of the real
+    p(theta) = sum_{|n| <= degree} c_n z^n, from samples at theta_j = 2 pi j / N (N > 2
+    degree + 1) whose summed terms have magnitudes up to `size`. The c_n come from one
+    FFT; those above `degree` must be round-off, at most CIRCLE_TAIL max(size) (else
+    TruncationFailure), and top ones that small are cut. Roots within CIRCLE_BAND of
+    the circle are kept: round-off moves a double root or a flat stretch off it."""
+    if len(samples) <= 2 * degree + 1:
+        raise ValueError(f"{len(samples)} samples cannot resolve degree {degree}")
+    c = np.fft.rfft(samples) / len(samples)
+    mags = np.abs(c)
+    noise = CIRCLE_TAIL * np.max(size)
+    tail = mags[degree + 1 :].max(initial=0.0)
+    if tail > noise:
+        raise TruncationFailure(
+            f"coefficients above degree {degree} are {tail / noise:.2e} times their round-off"
+        )
+    d = degree
+    while d > 0 and mags[d] <= noise:
+        d -= 1
+    if d == 0:
+        return np.empty(0)
+    z = _companion_eigenvalues(np.concatenate([np.conj(c[d:0:-1]), c[: d + 1]]))
+    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= CIRCLE_BAND]))
+
+
 def root_residual(p: Poly, z: complex) -> float:
     """Relative residual |p(z)| / sum |c_k||z|^k, for factoring diagnostics."""
-    return _rel_residual(p.coeffs, z)
+    return _rel_residual(p.coeffs, z, max(abs(c) for c in p.coeffs))

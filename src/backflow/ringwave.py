@@ -8,9 +8,10 @@ discrete. The c_k for k >= 1 are Taylor coefficients of f about the origin
 (residues of f(z) z^(-k-1)), scaled by N sqrt(L); normalization is Parseval
 on those coefficients, cross-checked by trapezoid quadrature over a period.
 
-Backflow arcs are found by dense sampling of the local wave number over one
-period followed by bracketed root refinement; features narrower than
-L/samples need a higher sampling density.
+With theta = 2 pi x / L, k times prod |e^{i theta} - r|^2 over the roots
+off the circle and the origin is a trigonometric polynomial in theta, so
+backflow arcs and the extrema of k and j come from the same circle-root
+engine as on the line (contwave._circle_report), at any arc width.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import brentq, minimize_scalar
 
 from . import oracle
-from .contwave import BackflowReport, RationalSpec, _current, _defined
+from .contwave import BackflowReport, RationalSpec, _Chart, _circle_report, _current, _defined
 from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
 from .polyring import Series, poly_from_roots, series_quotient
 
@@ -88,9 +88,10 @@ def _raw_taylor_coefficients(spec: RationalSpec) -> tuple[complex, ...]:
         return tuple(num.coeffs)
     den = poly_from_roots(spec.poles)
     rho = min(abs(b.position) for b in spec.poles)
-    # geometric decay rate 1/rho, slowed by a polynomial in k for high-order poles
+    # geometric decay rate 1/rho, slowed by the k^(n-1) growth of an order-n pole
     needed = math.log(1e18) / math.log(rho)
-    order = int(needed) + 12 * spec.n + num.degree + 32
+    growth = (max(b.multiplicity for b in spec.poles) - 1) * math.log(needed) / math.log(rho)
+    order = int(needed + growth) + 12 * spec.n + num.degree + 32
     if order > K_CAP:
         raise TruncationFailure(
             f"tail criterion needs ~{order} coefficients (pole radius {rho:.6f}); "
@@ -170,75 +171,31 @@ def ring_current(wf: RingWaveFunction, x):
     return _current(wf(x), ring_wavenumber, wf, x)
 
 
-def ring_backflow_intervals(wf: RingWaveFunction, samples: int = 4096) -> BackflowReport:
-    """Arcs of k < 0 over one period, located by dense sampling plus bracketed
-    refinement. Arcs are reported as (lo, hi) with lo normalized into
-    [-L/2, L/2); an arc crossing the period seam keeps hi = lo + width."""
-    L = wf.period
-    xs = np.arange(samples) * (L / samples)
-    ks = ring_wavenumber(wf, xs)
-    ks = np.where(np.isnan(ks), np.inf, ks)  # circle zeros: treat as positive spikes
-
-    # a grid point where k is exactly 0 is a crossing; otherwise a sign change
-    # between finite neighbours brackets one
-    nxt = np.roll(ks, -1)
-    exact = ks == 0.0
-    bracket = ~exact & ((ks < 0) != (nxt < 0)) & np.isfinite(ks) & np.isfinite(nxt)
-    crossings = xs[exact].tolist()
-    for lo in xs[bracket].tolist():
-        root = brentq(lambda t: ring_wavenumber(wf, t), lo, lo + L / samples, xtol=1e-14, rtol=8.9e-16)
-        crossings.append(float(root))
-    crossings = sorted(set(crossings))
-
-    intervals: list[tuple[float, float]] = []
-    if not crossings:
-        if bool(np.all(ks > 0)):
-            pass  # forward-flowing everywhere
-        elif bool(np.all(ks < 0)):  # pragma: no cover - impossible for valid specs
-            intervals.append((-L / 2, L / 2))
-    else:
-        # each crossing opens an arc that ends at the next one, cyclically
-        los = np.array(crossings)
-        his = np.array(crossings[1:] + [crossings[0] + L])
-        mids = np.fmod(0.5 * (los + his), L)
-        k_mid = ring_wavenumber(wf, mids)
-        k_mid = np.where(np.isnan(k_mid), ring_wavenumber(wf, mids + 1e-9 * L), k_mid)
-        for lo, hi in zip(los[k_mid < 0].tolist(), his[k_mid < 0].tolist()):
-            width = hi - lo
-            start = lo
-            while start >= L / 2:
-                start -= L
-            while start < -L / 2:
-                start += L
-            intervals.append((start, start + width))
-        intervals.sort()
-
-    # extremal wave number and current over the period, grid + local refinement
-    def refine(fun, i0):
-        a = float(xs[i0]) - L / samples
-        b = float(xs[i0]) + L / samples
-        res = minimize_scalar(fun, bounds=(a, b), method="bounded", options={"xatol": 1e-13})
-        return (float(res.fun), float(res.x))
-
-    i_k = int(np.argmin(ks))
-    min_k, min_k_loc = refine(lambda t: ring_wavenumber(wf, float(t)), i_k)
-    if ks[i_k] < min_k:
-        min_k, min_k_loc = float(ks[i_k]), float(xs[i_k])
-
-    js = ring_current(wf, xs)
-    i_j = int(np.argmin(js))
-    min_j, min_j_loc = refine(lambda t: ring_current(wf, float(t)), i_j)
-    if js[i_j] < min_j:
-        min_j, min_j_loc = float(js[i_j]), float(xs[i_j])
-
-    return BackflowReport(
-        intervals=tuple(intervals),
-        min_wavenumber=min_k,
-        min_wavenumber_location=min_k_loc,
-        min_current=min_j,
-        min_current_location=min_j_loc,
-        tangencies=(),
-    )
+def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
+    """Arcs of k < 0 over one period, tangencies of k with 0 and the minima of
+    k and j, exactly (see contwave._circle_report), in theta = 2 pi x / L with
+    lam = 2 pi / L and q = |e^{i theta} - r|^2. A zero at the origin adds 1 to
+    k per unit multiplicity and one on the circle 1/2, so neither enters the
+    products. Arcs are (lo, hi) with lo, like tangencies, in [-L/2, L/2); an
+    arc across the period seam keeps hi = lo + width."""
+    lam = 2 * math.pi / wf.period
+    c0, roots, zeros = 0.0, [], []
+    for sign, group in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+        for r in group:
+            rho, phi, m = abs(r.position), cmath.phase(r.position), sign * r.multiplicity
+            if rho < 1e-12:
+                c0 += m
+                continue
+            f = 2 * m * rho * lam * np.array([0.0, -math.sin(phi), math.cos(phi)])  # m (log q)'
+            if abs(rho - 1) < 1e-12:
+                c0 += 0.5 * m
+                zeros.append((r.position, phi, f))
+            else:
+                n = (m, -m * rho * math.cos(phi), -m * rho * math.sin(phi))
+                roots.append((r.position, phi, n, 0.5 * (rho * rho - 1) * f, f))
+    turn = (lambda t: (np.exp(1j * t), 1.0, 1j * np.exp(1j * t), 0.0))  # q = |e^{it} - r|^2
+    chart = _Chart(c0, roots, zeros, turn, lambda t: np.mod(t, 2 * math.pi) / lam, wf.period)
+    return _circle_report(wf, chart, ring_wavenumber, ring_current)
 
 
 def single_pole_reference_norm(a: float, n: int) -> float:

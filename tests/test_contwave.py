@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from backflow import contwave as cw
 from backflow import oracle
+from backflow import padegen as pg
 from backflow.errors import SingularPoint, SpecViolation
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -227,6 +229,13 @@ class TestBackflowIntervals:
         xs = np.linspace(-30, 30, 1501)
         assert all(cw.local_wavenumber(wf, float(x)) >= 0 for x in xs)
 
+    def test_forward_flow_reports_minima_at_infinity(self):
+        # j > 0 everywhere: the infimum 0 of k and of j is only approached in the tails
+        wf = example_one(-0.8j)
+        report = cw.backflow_intervals(wf)
+        assert (report.min_wavenumber, report.min_wavenumber_location) == (0.0, math.inf)
+        assert (report.min_current, report.min_current_location) == (0.0, math.inf)
+
     def test_tangency_is_flagged_not_reported(self):
         # a = -i/2 sits on the excluded-circle boundary: k >= 0 with a double
         # root at the origin, reported as a tangency rather than an interval
@@ -246,6 +255,91 @@ class TestBackflowIntervals:
         assert math.isfinite(lo)
         assert cw.local_wavenumber(wf, lo + 1.0) < 0
         assert cw.local_wavenumber(wf, lo - 1.0) > 0
+
+
+def exp_design(m: int, b: float) -> cw.LineWaveFunction:
+    """exp(-ix) on (-pi, pi) with an order-(m+1) pole at -ib."""
+    problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (cw.Root(-1j * b, m + 1),), math.pi)
+    return pg.design_wavefunction(problem).wavefunction
+
+
+def mp_wavenumber(wf: cw.LineWaveFunction, slope: bool = False):
+    """k(x), or k'(x), at 50 digits from the same float root data."""
+
+    def k(x):
+        total = mpmath.mpf(0)
+        for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+            for r in roots:
+                u, v = mpmath.mpf(r.position.real), mpmath.mpf(r.position.imag)
+                d2 = (x - u) ** 2 + v**2
+                total += sign * r.multiplicity * v * (-2 * (x - u) / d2**2 if slope else 1 / d2)
+        return total
+
+    return k
+
+
+class TestHighOrderDesigns:
+    """The exp(-ix) designs have k = -1 on (-pi, pi) and a pole product with
+    coefficients spanning ~1e23; each answer is checked at 50 digits."""
+
+    @pytest.mark.parametrize("m, b, edge", [(16, 10 * math.pi, 4.6), (20, 15 * math.pi, 5.9)])
+    def test_finite_crossings(self, m, b, edge):
+        wf = exp_design(m, b)
+        report = cw.backflow_intervals(wf)
+        assert len(report.intervals) == 1
+        lo, hi = report.intervals[0]
+        assert lo == pytest.approx(-edge, abs=0.05) and hi == pytest.approx(edge, abs=0.05)
+        k = mp_wavenumber(wf)
+        with mpmath.workdps(50):
+            assert k(mpmath.mpf(0.5 * (lo + hi))) < 0
+            for end in (lo, hi):
+                root = mpmath.findroot(k, mpmath.mpf(end))
+                assert abs(end - root) <= 1e-12 * max(1.0, abs(end))
+                assert k(mpmath.mpf(end) - 1e-6) * k(mpmath.mpf(end) + 1e-6) < 0
+
+    def test_global_minimum_of_k(self):
+        wf = exp_design(10, 10 * math.pi)
+        report = cw.backflow_intervals(wf)
+        x = report.min_wavenumber_location
+        with mpmath.workdps(50):
+            x0 = mpmath.findroot(mp_wavenumber(wf, slope=True), (mpmath.mpf(x), mpmath.mpf(x) + 1e-9))
+            assert abs(x0 - x) < 1e-9
+            assert report.min_wavenumber == pytest.approx(float(mp_wavenumber(wf)(x0)), rel=1e-12)
+        assert report.min_wavenumber == pytest.approx(-443.10, abs=0.01)
+        xs = np.linspace(-8.0, 8.0, 4001)
+        assert report.min_wavenumber <= cw.local_wavenumber(wf, xs).min()
+
+    def test_minimum_on_the_flat_stretch(self):
+        # k = -1 to ~1e-15 on (-pi, pi) is the minimum; the roots of the k'
+        # polynomial there scatter off the circle
+        wf = exp_design(5, 4.5 * math.pi)
+        report = cw.backflow_intervals(wf)
+        xs = np.linspace(-8.0, 8.0, 16001)
+        assert report.min_wavenumber <= cw.local_wavenumber(wf, xs).min() + 1e-12
+        assert abs(report.min_wavenumber_location) < math.pi
+
+
+@pytest.mark.parametrize(
+    "zeros, poles, centres",
+    [
+        # two zeros 1e-6 below the axis: dips of depth ~1e6 and width ~1e-3
+        ([0.3 - 1e-6j, -0.5 - 1e-6j], [(-1j, 3)], [-0.5, 0.3]),
+        # a dip of depth 1e5 next to a zero just above the axis and a near pole
+        ([-1.86 - 1e-5j, -1.56 + 0.007j], [(2.3 - 0.003j, 3), (-1.7 - 0.2j, 3)], [-1.86]),
+    ],
+)
+def test_zeros_near_the_axis(zeros, poles, centres):
+    spec = cw.RationalSpec(zeros=tuple(cw.Root(a) for a in zeros), poles=tuple(cw.Root(*b) for b in poles))
+    wf = cw.make_line_wavefunction(spec)
+    report = cw.backflow_intervals(wf)
+    assert [round(0.5 * (lo + hi), 2) for lo, hi in report.intervals] == centres
+    k, slope = mp_wavenumber(wf), mp_wavenumber(wf, slope=True)
+    with mpmath.workdps(50):
+        for end in (v for interval in report.intervals for v in interval):
+            assert abs(end - mpmath.findroot(k, (mpmath.mpf(end), mpmath.mpf(end) + 1e-9))) <= 1e-12
+        x = report.min_wavenumber_location
+        x0 = mpmath.findroot(slope, (mpmath.mpf(x), mpmath.mpf(x) + 1e-12))
+        assert report.min_wavenumber == pytest.approx(float(k(x0)), rel=1e-12)
 
 
 class TestProperties:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow.errors import DegreeZero, ZeroLeadingDenominator
+from backflow.errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 from backflow.polyring import (
     Poly,
     RealRoot,
     Series,
+    circle_roots,
     complex_roots,
     poly_eval,
     poly_from_roots,
@@ -98,6 +99,32 @@ def test_real_roots_triple():
 def test_real_roots_constant_raises():
     with pytest.raises(DegreeZero):
         real_roots(Poly((2.0,)))
+
+
+def test_circle_roots_of_trigonometric_polynomial():
+    # simple roots at +-pi/3; the factor cos 2t + 3 raises the degree to 3
+    # without adding roots
+    theta = 2 * np.pi * np.arange(16) / 16
+    samples = (np.cos(theta) - 0.5) * (np.cos(2 * theta) + 3)
+    roots = circle_roots(samples, 3, np.abs(samples) + 4)
+    assert roots == pytest.approx([-np.pi / 3, np.pi / 3], abs=1e-13)
+    assert circle_roots(np.full(16, 2.0), 3, np.full(16, 2.0)).size == 0
+
+
+def test_circle_roots_double_root():
+    theta = 2 * np.pi * np.arange(8) / 8
+    samples = 1 - np.cos(theta)  # 2 sin^2(t/2): a double root at 0
+    roots = circle_roots(samples, 1, samples + 1)
+    assert len(roots) == 2 and np.abs(roots).max() < 1e-7
+
+
+def test_circle_roots_rejects_a_higher_degree():
+    theta = 2 * np.pi * np.arange(16) / 16
+    samples = np.cos(3 * theta)
+    with pytest.raises(TruncationFailure):
+        circle_roots(samples, 2, np.ones(16))
+    with pytest.raises(ValueError):
+        circle_roots(samples, 8, np.ones(16))
 
 
 def test_complex_roots_simple():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,19 @@ class TestConstruction:
         spec = cw.RationalSpec(zeros=(cw.Root(0.5 + 0j),), poles=(cw.Root(2.0 + 0j, 2),))
         with pytest.raises(SpecViolation):
             rw.make_ring_wavefunction(spec)
+
+    def test_one_series_quotient_at_radius_1_01(self, monkeypatch):
+        # the order guess allows for the k^(n-1) growth of an order-n pole
+        orders, quotient = [], rw.series_quotient
+
+        def counted(num, den, order):
+            orders.append(order)
+            return quotient(num, den, order)
+
+        monkeypatch.setattr(rw, "series_quotient", counted)
+        wf = example_three(1.01, 3)
+        assert len(orders) == 1
+        assert len(wf.taylor_coeffs) == 4531
 
     def test_slow_decay_truncation_failure(self):
         spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.0 + 1e-6, 2),))
@@ -205,6 +219,71 @@ class TestBackflowArcs:
                     continue
                 report = rw.ring_backflow_intervals(example_three(float(a), n))
                 assert bool(report.intervals) == (n > a + 1)
+
+
+def mp_ring_wavenumber(wf: rw.RingWaveFunction):
+    """k(x) on the ring at 50 digits from the same float root data."""
+
+    def k(x):
+        theta = 2 * mpmath.pi * x / wf.period
+        total = mpmath.mpf(0)
+        for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
+            for r in roots:
+                rho, phi = mpmath.mpf(abs(r.position)), mpmath.mpf(cmath.phase(r.position))
+                d2 = 1 + rho**2 - 2 * rho * mpmath.cos(theta - phi)
+                total += sign * r.multiplicity * (1 - rho * mpmath.cos(theta - phi)) / d2
+        return 2 * mpmath.pi / wf.period * total
+
+    return k
+
+
+class TestNearThreshold:
+    """z/(z - a)^n flows backwards iff n > |a| + 1; checked at 50 digits."""
+
+    def test_narrow_arc_between_grid_points(self):
+        # |a| = 2 - 1e-7: an arc of width ~5e-5 about the point opposite the
+        # pole, turned half a step of a 4096-point grid
+        turn = 0.5 * 2 * math.pi / 4096
+        spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root((2 - 1e-7) * cmath.exp(1j * turn), 3),))
+        wf = rw.make_ring_wavefunction(spec)
+        report = rw.ring_backflow_intervals(wf)
+        assert len(report.intervals) == 1
+        lo, hi = report.intervals[0]
+        assert 0 < hi - lo < 1e-3
+        k = mp_ring_wavenumber(wf)
+        with mpmath.workdps(50):
+            assert k(mpmath.mpf(0.5 * (lo + hi))) < 0
+            for end in (lo, hi):
+                root = mpmath.findroot(k, (mpmath.mpf(end), mpmath.mpf(end) + 1e-9))
+                assert abs(end - root) <= 1e-12
+
+    def test_tangency_at_threshold(self):
+        # n = |a| + 1 exactly: k >= 0 touches 0 opposite the pole, at x = 1/2
+        spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(2.0 + 0j, 3),))
+        wf = rw.make_ring_wavefunction(spec)
+        report = rw.ring_backflow_intervals(wf)
+        assert report.intervals == ()
+        assert len(report.tangencies) == 1
+        assert abs(report.tangencies[0] % 1.0 - 0.5) < 1e-7
+        with mpmath.workdps(50):
+            assert abs(mp_ring_wavenumber(wf)(mpmath.mpf(report.tangencies[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_zero_just_outside_the_circle(eps):
+    # a zero at radius 1 + eps turns k negative on an arc of width ~sqrt(eps) about it
+    zero = (1 + eps) * cmath.exp(2j)
+    spec = cw.RationalSpec(zeros=(cw.Root(0j), cw.Root(zero)), poles=(cw.Root(2.0 + 0j, 3),))
+    wf = rw.make_ring_wavefunction(spec)
+    report = rw.ring_backflow_intervals(wf)
+    assert len(report.intervals) == 1
+    lo, hi = report.intervals[0]
+    assert lo < 1 / math.pi < hi and hi - lo < 100 * math.sqrt(eps)
+    k = mp_ring_wavenumber(wf)
+    with mpmath.workdps(50):
+        for end in (lo, hi):
+            assert k(mpmath.mpf(end) - 1e-9) * k(mpmath.mpf(end) + 1e-9) < 0
+            assert abs(end - mpmath.findroot(k, (mpmath.mpf(end), mpmath.mpf(end) + 1e-12))) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
