@@ -7,7 +7,8 @@ then kills the spectrum for p < 0, and everything of interest follows from
 the root data alone:
 
 * the momentum spectrum is a sum over poles of (polynomial in p) * exp(-i p b_l),
-  with coefficients read off a truncated Taylor quotient at each pole;
+  with coefficients read off the Taylor series of (z-b_l)^n_l f at each pole
+  (polyring.rational_series);
 * the local wave number k(x) is a signed sum of Lorentzians, one per root,
   negative bumps coming from zeros placed below the axis;
 * backflow regions are the sublevel set k < 0. Under x = c + s tan(theta/2)
@@ -30,18 +31,11 @@ import numpy as np
 
 from . import oracle
 from .errors import QuadratureFailure, SingularPoint, SpecViolation
-from .polyring import (
-    Poly,
-    Series,
-    circle_roots,
-    horner,
-    poly_from_roots,
-    poly_mul,
-    series_from_poly,
-    series_quotient,
-)
+from .polyring import circle_roots, horner, rational_series
 
 MERGE_TOL = 1e-9
+# Relative accuracy of the quadrature that normalizes a line state.
+NORM_TOL = 1e-10
 # Sign changes of k closer than this in theta are one (a tangency), and on the line
 # roots this close to theta = pi are x = +-inf; ROUNDOFF_K is the round-off of k.
 ROOT_MERGE = 1e-7
@@ -189,11 +183,11 @@ class BackflowReport:
     tangencies: tuple[float, ...] = ()
 
 
-def make_line_wavefunction(spec: RationalSpec, *, tol: float = 1e-10) -> LineWaveFunction:
+def make_line_wavefunction(spec: RationalSpec) -> LineWaveFunction:
     """Normalize N = (integral |f|^2 dx)^(-1/2) by adaptive quadrature."""
     validate_line_spec(spec)
     unnormalized = LineWaveFunction(spec, 1.0)
-    res = oracle.norm_quadrature(unnormalized, "line", tol)
+    res = oracle.norm_quadrature(unnormalized, "line", NORM_TOL)
     total = res.value.real
     if not (total > 0 and math.isfinite(total)):
         raise QuadratureFailure(f"|f|^2 integral came out as {total!r}")
@@ -211,26 +205,16 @@ def momentum_spectrum(wf: LineWaveFunction) -> MomentumSpectrumLine:
     """Close the Fourier contour downward and collect the residue at each pole.
 
     For a pole b of order n_b the residue needs the first n_b Taylor
-    coefficients of f_b(z) = (z-b)^(n_b) f(z) about b, obtained by dividing
-    the shifted numerator by the product of the remaining pole factors.
+    coefficients of f_b(z) = (z-b)^(n_b) f(z) about b: polyring.rational_series
+    of the zeros over the other poles, the same engine as the ring's c_k.
     """
-    numerator = poly_from_roots(wf.spec.zeros)
     pref = -1j * wf.norm_constant * wf.phase * _SQRT_2PI
     terms = []
-    for l, pole in enumerate(wf.spec.poles):
+    for pole in wf.spec.poles:
         b, n_b = pole.position, pole.multiplicity
-        num = series_from_poly(numerator, b, n_b)
-        den_poly = Poly((1.0 + 0j,))
-        for j, other in enumerate(wf.spec.poles):
-            if j == l:
-                continue
-            # (z - b_j)^(n_j) expressed in u = z - b
-            den_poly = poly_mul(den_poly, poly_from_roots([(other.position - b, other.multiplicity)]))
-        den = series_from_poly(den_poly, 0j, n_b)
-        taylor = series_quotient(num, Series(den.coeffs, b), n_b)
-        coeffs = tuple(
-            pref * taylor.coeffs[n_b - 1 - k] / math.factorial(k) for k in range(n_b)
-        )
+        others = [r for r in wf.spec.poles if r is not pole]
+        taylor = rational_series(wf.spec.zeros, others, b, n_b).coeffs
+        coeffs = tuple(pref * taylor[n_b - 1 - k] / math.factorial(k) for k in range(n_b))
         terms.append(SpectrumTerm(b, coeffs))
     return MomentumSpectrumLine(tuple(terms), wf.spec.n - wf.spec.m)
 

@@ -2,7 +2,9 @@
 
 Everything downstream (residue spectra, Fourier coefficients, Pade
 numerators, backflow interval endpoints) reduces to dense polynomial
-arithmetic at modest degree plus truncated Taylor-series division.
+arithmetic at modest degree plus truncated Taylor-series division, one linear
+pole factor at a time (rational_series gives the line's residues and the
+ring's Fourier coefficients).
 Coefficients are plain Python complex numbers in ascending powers; numpy
 handles convolutions, FFTs and the companion-matrix eigenvalue step of root
 finding, on the line and (circle_roots) on the unit circle.
@@ -10,7 +12,6 @@ finding, on the line and (circle_roots) on the unit circle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -19,8 +20,6 @@ from scipy.optimize import brentq
 
 from .errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 
-# Trailing coefficients below this relative size are round-off, not degree.
-STRIP_REL = 1e-14
 # circle_roots: Fourier coefficients below this share of the size of the
 # summed terms are round-off, and roots this close to |z| = 1 lie on it.
 CIRCLE_TAIL = 1e-13
@@ -28,11 +27,10 @@ CIRCLE_BAND = 0.1
 
 
 def _strip(coeffs: Iterable[complex]) -> tuple[complex, ...]:
+    """The coefficients without their exactly-zero top ones: a small leading
+    coefficient is still degree (a designed numerator's is 2e-16 of its peak at m = 20)."""
     cs = [complex(c) for c in coeffs]
-    top = max((abs(c) for c in cs), default=0.0)
-    if top == 0.0:
-        return ()
-    while cs and abs(cs[-1]) <= STRIP_REL * top:
+    while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
@@ -51,9 +49,6 @@ class Poly:
         return len(self.coeffs) - 1
 
 
-ONE = Poly((1.0 + 0j,))
-
-
 @dataclass(frozen=True)
 class Series:
     """Truncated Taylor expansion sum(coeffs[k] * (z - center)**k)."""
@@ -62,10 +57,10 @@ class Series:
     center: complex = 0j
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         if not cs:
             raise ValueError("a series needs at least one coefficient")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
+        if not np.isfinite(cs).all():
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "center", complex(self.center))
@@ -140,16 +135,10 @@ def series_from_poly(p: Poly, center: complex, order: int) -> Series:
     return Series(tuple(cs), center)
 
 
-def series_mul(a: Series, b: Series, order: int) -> Series:
-    if a.center != b.center:
-        raise ValueError("series centers differ")
-    full = np.convolve(a.coeffs, b.coeffs)[:order]
-    cs = list(full) + [0j] * (order - len(full))
-    return Series(tuple(cs), a.center)
-
-
 def series_quotient(num: Series, den: Series, order: int) -> Series:
-    """First `order` Taylor coefficients of num/den about the shared center.
+    """First `order` Taylor coefficients of num/den about the shared center, by
+    back-substitution over the den coefficients below `order`: O(order len(den)),
+    so O(order) for a linear factor.
 
     Coefficient j equals (num/den)^(j)(center) / j!.
     """
@@ -162,18 +151,29 @@ def series_quotient(num: Series, den: Series, order: int) -> Series:
         raise ZeroLeadingDenominator(
             f"denominator constant term {den.coeffs[0]!r} is below 1e-14 of its scale"
         )
-    a = np.zeros(order, complex)
-    a[: min(order, len(num.coeffs))] = num.coeffs[:order]
-    d = np.zeros(order, complex)
-    d[: min(order, len(den.coeffs))] = den.coeffs[:order]
-    q = np.empty(order, complex)
-    d0 = d[0]
-    for j in range(order):
-        s = a[j]
-        if j:
-            s = s - np.dot(d[1 : j + 1], q[j - 1 :: -1])
-        q[j] = s / d0
+    d0, tail = den.coeffs[0], den.coeffs[1:order]
+    q: list[complex] = []
+    for s in num.coeffs[:order] + (0j,) * (order - len(num.coeffs)):
+        for c, prev in zip(tail, reversed(q)):
+            s -= c * prev
+        q.append(s / d0)
     return Series(tuple(q), num.center)
+
+
+def rational_series(zeros, poles, center: complex, order: int) -> Series:
+    """First `order` Taylor coefficients about `center` of prod (z - a)^m / prod (z - b)^n
+    over (a, m) zeros and (b, n) poles (pairs or Root objects). The numerator is
+    expanded from the shifted zeros a - center; the poles are divided out one linear
+    factor (center - b) + u at a time, so no expanded pole product rounds its small
+    coefficients against its large ones."""
+    center = complex(center)
+    num = poly_from_roots([(a - center, m) for a, m in _root_pairs(zeros)]).coeffs[:order]
+    q = Series(num + (0j,) * (order - len(num)), center)
+    for b, n in _root_pairs(poles):
+        factor = Series((center - b, 1.0), center)
+        for _ in range(n):
+            q = series_quotient(q, factor, order)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ an L-periodic state. With every pole outside the closed unit disk and a zero
 at the origin, f(z)/z is analytic in |z| <= 1, so the Fourier coefficients
 c_k vanish for k <= 0: the momentum spectrum is strictly positive and
 discrete. The c_k for k >= 1 are Taylor coefficients of f about the origin
-(residues of f(z) z^(-k-1)), scaled by N sqrt(L); normalization is Parseval
-on those coefficients, cross-checked by trapezoid quadrature over a period.
+(residues of f(z) z^(-k-1)), scaled by N sqrt(L), from the same linear-factor
+engine as the line's residues (polyring.rational_series); normalization is
+Parseval on those coefficients. Construction runs no quadrature: the period
+integral of |psi|^2 is an independent check in `backflow verify`.
 
 With theta = 2 pi x / L, k times prod |e^{i theta} - r|^2 over the roots
 off the circle and the origin is a trigonometric polynomial in theta, so
@@ -23,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import oracle
 from .contwave import BackflowReport, RationalSpec, _Chart, _circle_report, _current, _defined
 from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
-from .polyring import Series, poly_from_roots, series_quotient
+from .polyring import poly_from_roots, rational_series
 
 TAIL_REL = 1e-16
 K_CAP = 100_000
@@ -83,24 +84,20 @@ class MomentumSpectrumRing:
 
 def _raw_taylor_coefficients(spec: RationalSpec) -> tuple[complex, ...]:
     """[z^k] f up to the tail criterion |f_K| < 1e-16 max|f_k|."""
-    num = poly_from_roots(spec.zeros)
     if not spec.poles:
-        return tuple(num.coeffs)
-    den = poly_from_roots(spec.poles)
+        return poly_from_roots(spec.zeros).coeffs
     rho = min(abs(b.position) for b in spec.poles)
     # geometric decay rate 1/rho, slowed by the k^(n-1) growth of an order-n pole
     needed = math.log(1e18) / math.log(rho)
     growth = (max(b.multiplicity for b in spec.poles) - 1) * math.log(needed) / math.log(rho)
-    order = int(needed + growth) + 12 * spec.n + num.degree + 32
+    order = int(needed + growth) + 12 * spec.n + spec.m + 32
     if order > K_CAP:
         raise TruncationFailure(
             f"tail criterion needs ~{order} coefficients (pole radius {rho:.6f}); "
             f"cap is {K_CAP}"
         )
     while True:
-        q = series_quotient(
-            Series(num.coeffs, 0j), Series(den.coeffs, 0j), order
-        ).coeffs
+        q = rational_series(spec.zeros, spec.poles, 0j, order).coeffs
         top = max(abs(c) for c in q)
         if abs(q[-1]) < TAIL_REL * top:
             break
@@ -117,21 +114,15 @@ def _raw_taylor_coefficients(spec: RationalSpec) -> tuple[complex, ...]:
 
 
 def make_ring_wavefunction(spec: RationalSpec, period: float = 1.0) -> RingWaveFunction:
-    """Fix N by Parseval on the Taylor coefficients of f, then cross-check the
-    period integral of |psi|^2 by trapezoid quadrature."""
+    """Fix N by Parseval on the Taylor coefficients of f. No quadrature runs
+    here: `backflow verify` checks the period integral of |psi|^2."""
     if not (period > 0 and math.isfinite(period)):
         raise SpecViolation(f"period must be positive, got {period}")
     validate_ring_spec(spec)
     raw = _raw_taylor_coefficients(spec)
     power = sum(abs(c) ** 2 for c in raw)
     norm = 1.0 / math.sqrt(period * power)
-    wf = RingWaveFunction(spec, period, norm, raw)
-    check = oracle.norm_quadrature(wf, "ring", 1e-10).value.real
-    if abs(check - 1.0) > 1e-8:
-        raise QuadratureFailure(
-            f"Parseval norm disagrees with period quadrature by {abs(check - 1.0):.2e}"
-        )
-    return wf
+    return RingWaveFunction(spec, period, norm, raw)
 
 
 def ring_spectrum(wf: RingWaveFunction) -> MomentumSpectrumRing:

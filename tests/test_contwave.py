@@ -282,7 +282,7 @@ class TestHighOrderDesigns:
     """The exp(-ix) designs have k = -1 on (-pi, pi) and a pole product with
     coefficients spanning ~1e23; each answer is checked at 50 digits."""
 
-    @pytest.mark.parametrize("m, b, edge", [(16, 10 * math.pi, 4.6), (20, 15 * math.pi, 5.9)])
+    @pytest.mark.parametrize("m, b, edge", [(16, 10 * math.pi, 4.6), (20, 15 * math.pi, 7.01)])
     def test_finite_crossings(self, m, b, edge):
         wf = exp_design(m, b)
         report = cw.backflow_intervals(wf)
@@ -296,6 +296,28 @@ class TestHighOrderDesigns:
                 root = mpmath.findroot(k, mpmath.mpf(end))
                 assert abs(end - root) <= 1e-12 * max(1.0, abs(end))
                 assert k(mpmath.mpf(end) - 1e-6) * k(mpmath.mpf(end) + 1e-6) < 0
+
+    def test_residues_against_mpmath(self):
+        # the full degree-20 numerator, whose top coefficients are far below its
+        # peak, and the first 21 Taylor coefficients of prod (z - a) about the pole
+        m, b = 20, 15 * math.pi
+        problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (cw.Root(-1j * b, m + 1),), math.pi)
+        report = pg.design_wavefunction(problem)
+        assert len(report.numerator.coeffs) == m + 1
+        wf = report.wavefunction
+        (term,) = cw.momentum_spectrum(wf).terms
+        with mpmath.workdps(60):
+            pole = mpmath.mpc(term.pole)
+            taylor = [mpmath.mpc(1)]  # prod (u - (a - pole)), ascending powers of u
+            for r in wf.spec.zeros:
+                for _ in range(r.multiplicity):
+                    shift = mpmath.mpc(r.position) - pole
+                    taylor = [(taylor[k - 1] if k else 0) - shift * (taylor[k] if k < len(taylor) else 0)
+                              for k in range(len(taylor) + 1)]
+            pref = mpmath.mpc(-1j * wf.norm_constant * wf.phase * SQRT_2PI)
+            ref = [complex(pref * taylor[m - k] / mpmath.factorial(k)) for k in range(m + 1)]
+        peak = max(abs(c) for c in ref)
+        assert max(abs(got - want) for got, want in zip(term.coeffs, ref)) <= 1e-13 * peak
 
     def test_global_minimum_of_k(self):
         wf = exp_design(10, 10 * math.pi)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from backflow.polyring import (
     poly_eval,
     poly_from_roots,
     poly_mul,
+    rational_series,
     real_roots,
     series_from_poly,
     series_quotient,
@@ -77,6 +79,31 @@ def test_series_quotient_single_pole_binomial():
 def test_series_quotient_zero_denominator():
     with pytest.raises(ZeroLeadingDenominator):
         series_quotient(Series((1,)), Series((0, 1)), 3)
+
+
+def test_poly_keeps_small_leading_coefficients():
+    assert Poly((1.0, 1e-20)).degree == 1
+    assert Poly((1.0, 0.0, 0j)).degree == 0
+
+
+def test_rational_series_against_mpmath():
+    # (z - 0.3i)^2 (z + 1) / ((z - 2)(z + 1 - 3i)^3) about 0.5 - 0.2i
+    zeros, poles, center = [(0.3j, 2), (-1.0, 1)], [(2.0, 1), (-1 + 3j, 3)], 0.5 - 0.2j
+    got = rational_series(zeros, poles, center, 12)
+    assert got.center == center and got.order == 12
+    with mpmath.workdps(50):
+        def f(z):
+            num = (z - mpmath.mpc(0.3j)) ** 2 * (z + 1)
+            return num / ((z - 2) * (z - mpmath.mpc(-1 + 3j)) ** 3)
+
+        ref = [complex(c) for c in mpmath.taylor(f, mpmath.mpc(center), 11)]
+    peak = max(abs(c) for c in ref)
+    assert max(abs(a - b) for a, b in zip(got.coeffs, ref)) <= 1e-14 * peak
+
+
+def test_rational_series_without_poles_is_the_shifted_numerator():
+    got = rational_series([(1.0, 2)], [], 3.0, 5)
+    np.testing.assert_allclose(got.coeffs, (4, 4, 1, 0, 0), atol=1e-15)
 
 
 def test_real_roots_quadratic():

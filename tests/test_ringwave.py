@@ -56,17 +56,40 @@ class TestConstruction:
             rw.make_ring_wavefunction(spec)
 
     def test_one_series_quotient_at_radius_1_01(self, monkeypatch):
-        # the order guess allows for the k^(n-1) growth of an order-n pole
-        orders, quotient = [], rw.series_quotient
+        # the order guess allows for the k^(n-1) growth of an order-n pole, so
+        # the Taylor engine makes one pass at one order, with no doubling
+        orders, series = [], rw.rational_series
 
-        def counted(num, den, order):
+        def counted(zeros, poles, center, order):
             orders.append(order)
-            return quotient(num, den, order)
+            return series(zeros, poles, center, order)
 
-        monkeypatch.setattr(rw, "series_quotient", counted)
+        monkeypatch.setattr(rw, "rational_series", counted)
         wf = example_three(1.01, 3)
         assert len(orders) == 1
         assert len(wf.taylor_coeffs) == 4531
+
+    @pytest.mark.parametrize("a, n", [(1.1, 6), (1.01, 3)])
+    def test_taylor_coefficients_against_mpmath(self, a, n):
+        # [z^k] z/(z-a)^n = (-a)^(-n) C(k+n-2, n-1) a^(1-k), k >= 1, at 50 digits
+        spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(a + 0j, n),))
+        raw = rw._raw_taylor_coefficients(spec)
+        with mpmath.workdps(50):
+            mp_a = mpmath.mpf(a)
+            ref = [0j] + [
+                complex((-mp_a) ** -n * mpmath.binomial(k + n - 2, n - 1) * mp_a ** (1 - k))
+                for k in range(1, len(raw))
+            ]
+        peak = max(abs(c) for c in ref)
+        assert max(abs(got - want) for got, want in zip(raw, ref)) <= 1e-14 * peak
+
+    def test_builds_without_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ring construction called the quadrature oracle")
+
+        monkeypatch.setattr(oracle, "norm_quadrature", refuse)
+        wf = example_three(1.01, 3)
+        assert sum(abs(c) ** 2 for c in rw.ring_spectrum(wf).coeffs) == pytest.approx(1.0, rel=1e-12)
 
     def test_slow_decay_truncation_failure(self):
         spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.0 + 1e-6, 2),))
