@@ -35,6 +35,8 @@ from .polyring import horner
 DEFAULT_SAMPLES = 2001
 DEFAULT_LINE_RANGE = (-5.0, 5.0)
 DEFAULT_P_MAX = 10.0
+# verify holds the quadrature's |psi|^2 integral to 1 this closely, whatever --tol
+NORM_BOUND = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +73,12 @@ def parse_descriptor(obj: dict) -> WaveFunctionDescriptor:
     return WaveFunctionDescriptor(kind, zeros, poles, period)
 
 
+def _roots_json(roots) -> list[dict]:
+    return [{"re": r.position.real, "im": r.position.imag, "mult": r.multiplicity} for r in roots]
+
+
 def descriptor_to_json(d: WaveFunctionDescriptor) -> dict:
-    out = {
-        "kind": d.kind,
-        "zeros": [
-            {"re": r.position.real, "im": r.position.imag, "mult": r.multiplicity}
-            for r in d.zeros
-        ],
-        "poles": [
-            {"re": r.position.real, "im": r.position.imag, "mult": r.multiplicity}
-            for r in d.poles
-        ],
-    }
+    out = {"kind": d.kind, "zeros": _roots_json(d.zeros), "poles": _roots_json(d.poles)}
     if d.kind == "ring":
         out["period"] = d.period
     return out
@@ -284,10 +280,7 @@ def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPL
             "max_error_on_interval": report.max_error_on_interval,
             "amplitude_ratio": report.amplitude_ratio,
             "norm_constant": wf.norm_constant,
-            "zeros": [
-                {"re": r.position.real, "im": r.position.imag, "mult": r.multiplicity}
-                for r in wf.spec.zeros
-            ],
+            "zeros": _roots_json(wf.spec.zeros),
         },
     )
     return 0
@@ -375,10 +368,13 @@ def _figure_designs(prefix: str, samples: int) -> int:
     return 0
 
 
+def _normalization_check(wf, geometry: str) -> tuple[str, bool, str]:
+    total = oracle.norm_quadrature(wf, geometry, 1e-10).value.real
+    return ("normalization", abs(total - 1) <= NORM_BOUND, f"|psi|^2 integral = {total:.12g}")
+
+
 def _verify_line(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = []
-    total = oracle.norm_quadrature(wf, "line", 1e-10).value.real
-    checks.append(("normalization", abs(total - 1) <= max(tol, 1e-8), f"|psi|^2 integral = {total:.12g}"))
+    checks = [_normalization_check(wf, "line")]
 
     sp = cw.momentum_spectrum(wf)
     peak = float(np.max(np.abs(cw.eval_spectrum(sp, np.linspace(0.05, 10, 120)))))
@@ -417,9 +413,7 @@ def _phase_gradient_check(wf, ks, xs, h: float) -> tuple[str, bool, str]:
 
 
 def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = []
-    total = oracle.norm_quadrature(wf, "ring", 1e-10).value.real
-    checks.append(("normalization", abs(total - 1) <= max(tol, 1e-8), f"|psi|^2 integral = {total:.12g}"))
+    checks = [_normalization_check(wf, "ring")]
 
     sp = rw.ring_spectrum(wf)
     L = wf.period

@@ -14,7 +14,10 @@ the root data alone:
 * backflow regions are the sublevel set k < 0. Under x = c + s tan(theta/2)
   each Lorentzian denominator is a degree-1 trigonometric polynomial, so the
   sign changes and critical points of k and j are the real roots of
-  trigonometric polynomials (_circle_report, shared with the ring).
+  trigonometric polynomials (_circle_report, shared with the ring);
+* the critical points of |psi|^2, where the designer reads its amplitude
+  price, are the real roots of one more, (log|psi|^2)' prod q prod q0, from
+  the same engine (density_critical_points).
 
 Units: hbar = mass = 1; x in units of an arbitrary length scale, momenta in
 its inverse, currents in the corresponding frequency.
@@ -319,34 +322,29 @@ def _ratio(a, da, q, dq, power: int):
     return (a / q**power).sum(0), ((da * q - power * a * dq) / q ** (power + 1)).sum(0)
 
 
-def _numerators(c0, q, n, g, f, K):
-    """k prod q, k' prod q^2 and (k' + k (log|psi|^2)') prod q^2 prod q0 over lam, q over
-    the K roots, q0 over the zeros; from absolute values, the sizes of these sums."""
-    q, q0 = q[:K], q[K:]
-    prod, prod0 = np.prod(q, axis=0), np.prod(q0, axis=0)
-    others = prod / q  # q > 0 on the circle
-    k = c0 * prod + (n[:K] * others).sum(0)
-    dk = (g[:K] * others**2).sum(0)
+def _numerators(c0, q, n, g, f, K, kinds):
+    """Of k prod q (0), k' prod q^2 (1), (k' + k (log|psi|^2)') prod q^2 prod q0 (2) over lam
+    and (log|psi|^2)' prod q prod q0 (3), those in `kinds`, (3,) or (0, 1, 2); q over the
+    K roots, q0 over the zeros. From absolute values, the sizes of these sums."""
+    prod, prod0, q0 = np.prod(q[:K], axis=0), np.prod(q[K:], axis=0), q[K:]
+    others = prod / q[:K]  # q > 0 on the circle
     others0 = np.array([np.prod(np.delete(q0, l, 0), 0) for l in range(len(q0))]).reshape(q0.shape)
     log_slope = prod0 * (f[:K] * others).sum(0) + prod * (f[K:] * others0).sum(0)
+    if kinds == (3,):
+        return [log_slope]
+    k = c0 * prod + (n[:K] * others).sum(0)
+    dk = (g[:K] * others**2).sum(0)
     return k, dk, k * log_slope + dk * prod0
 
 
-def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
-    """Backflow regions and extrema of k and j from the real roots of the
-    _numerators of k, k' and j' = (|psi|^2 k)', trigonometric polynomials of
-    degrees K, 2K and 2K + K0 (K roots, K0 zeros) sampled on one theta grid.
-    Each root is polished by Newton steps on k, k' or j' themselves; a sign
-    change is kept when |k| is then at round-off of its terms. The sign of k
-    at their midpoints, finite even on a zero of psi, classifies the pieces
-    between sign changes; one with k >= 0 on both sides is a tangency. The
-    minima are the lowest k and j over the critical points (line: from 0 at inf)."""
-    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
+def _evaluator(chart: _Chart):
+    """at(theta): q, n, g, f of the chart's roots, then its zeros, at theta, and
+    their theta-derivatives; with the (n, g, f) coefficient table it reads."""
     rows = chart.roots + [(*z[:2], (0.0,) * 3, (0.0,) * 3, z[2]) for z in chart.zeros]  # n = g = 0
     zeta = np.array([row[0] for row in rows], complex)[:, None]
     table = np.array([row[2:] for row in rows], float).reshape(-1, 3, 3).transpose(1, 0, 2)
 
-    def at(theta):  # q, n, g, f at theta, and their theta-derivatives
+    def at(theta):
         P, Q, dP, dQ = chart.frame(theta)
         u, du, cos, sin = P - zeta * Q, dP - zeta * dQ, np.cos(theta), np.sin(theta)
         q, dq = u.real**2 + u.imag**2, 2 * (u.real * du.real + u.imag * du.imag)
@@ -354,21 +352,33 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
         dn, dg, df = table @ np.array([0 * theta, -sin, cos])
         return (q, n, g, f), (dq, dn, dg, df)
 
-    degrees = (K, 2 * K, K + len(rows))
-    size = 4 << degrees[2].bit_length()
+    return at, table
+
+
+def _polished_roots(chart: _Chart, at, kinds):
+    """Real roots in theta of the trigonometric polynomials `kinds`, sampled on one grid:
+    the _numerators of k, k', j' (0-2; degrees K, 2K, K + R over K roots, R roots and
+    zeros) or of (log|psi|^2)' (3; degree R). Returns them as circle_roots finds them (an
+    array per kind) and after three Newton steps, in [-pi, pi), with their kinds (-1:
+    x = +-inf on the line). A narrow dip or peak is below the round-off, so the critical
+    points (1-3) also start from each q's least."""
+    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
+    R = K + len(chart.zeros)
+    degrees = [(K, 2 * K, K + R, R)[k] for k in kinds]
+    size = 4 << max(degrees).bit_length()
     grid = (2 * math.pi / size) * np.arange(size)
     on_grid = np.array(at(grid)[0])
     # the sums and their sizes in one pass, side by side along the grid axis
-    sums = _numerators(np.repeat([c0, abs(c0)], size), *np.concatenate([on_grid, np.abs(on_grid)], -1), K)
+    sums = _numerators(np.repeat([c0, abs(c0)], size), *np.concatenate([on_grid, np.abs(on_grid)], -1), K, kinds)
     found = [circle_roots(s[:size], d, s[size:]) for s, d in zip(sums, degrees)]
     if line:  # theta = pi is x = +-inf
         found = [theta[np.abs(theta) < math.pi - ROOT_MERGE] for theta in found]
     else:  # a constant k or j on the ring has no critical points
-        found[1:] = [theta if theta.size else grid for theta in found[1:]]
-    # a narrow dip is below the polynomials' round-off: Newton from each q's least too
-    centres = np.array([row[1] for row in rows])
-    kind = np.repeat([0, 1, 2, 1, 2], [*(theta.size for theta in found), centres.size, centres.size])
-    theta = np.concatenate([*found, centres, centres])
+        found = [theta if theta.size or k == 0 else grid for theta, k in zip(found, kinds)]
+    centres = np.array([row[1] for row in chart.roots + chart.zeros])
+    critical = [k for k in kinds if k]
+    kind = np.repeat([*kinds, *critical], [*(theta.size for theta in found), *[centres.size] * len(critical)])
+    theta = np.concatenate([*found, *[centres] * len(critical)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a start on a zero of psi
         for _ in range(3):
             (q, n, g, f), (dq, dn, dg, df) = at(theta)
@@ -376,13 +386,26 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
             kap = kap + c0
             slope, dslope = _ratio(g[:K], dg[:K], q[:K], dq[:K], 2)
             log, dlog = _ratio(f, df, q, dq, 1)
-            value = np.choose(kind, [kap, slope, slope + kap * log])
-            dvalue = np.choose(kind, [dkap, dslope, dslope + dkap * log + kap * dlog])
+            value = np.choose(kind, [kap, slope, slope + kap * log, log])
+            dvalue = np.choose(kind, [dkap, dslope, dslope + dkap * log + kap * dlog, dlog])
             step = np.isfinite(value) & np.isfinite(dvalue) & (dvalue != 0)
             theta = theta - np.divide(value, dvalue, out=np.zeros_like(value), where=step)
     theta = np.remainder(theta + math.pi, 2 * math.pi) - math.pi
     if line:
         kind[np.abs(theta) >= math.pi - ROOT_MERGE] = -1
+    return found, theta, kind
+
+
+def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
+    """Backflow regions and extrema of k and j from the real roots of the
+    _numerators of k, k' and j' = (|psi|^2 k)' (_polished_roots). A sign change
+    is kept when |k| is at round-off of its terms after the Newton steps. The
+    sign of k at their midpoints, finite even on a zero of psi, classifies the
+    pieces between sign changes; one with k >= 0 on both sides is a tangency.
+    The minima are the lowest k and j over the critical points (line: from 0 at inf)."""
+    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
+    at, table = _evaluator(chart)
+    found, theta, kind = _polished_roots(chart, at, (0, 1, 2))
 
     def kappa(theta):  # k / lam and the size of its terms a, b cos, c sin, which bounds its round-off
         q, n, _, _ = at(theta)[0]
@@ -425,10 +448,9 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
 
 
-def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
-    """Every maximal region with k < 0, the tangencies of k with 0 and the minima
-    of k and j, exactly, on the circle x = c + s tan(theta/2), c the mean real part
-    of the roots and s their median distance from c. For u + iv = c + s(d + iw),
+def _line_chart(wf: LineWaveFunction) -> _Chart:
+    """The line on the circle x = c + s tan(theta/2), c the mean real part of the
+    roots and s their median distance from c. For u + iv = c + s(d + iw),
     (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw) cos(theta/2)|^2
     = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
     positions = [r.position for r in wf.spec.zeros + wf.spec.poles]
@@ -445,8 +467,21 @@ def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
             else:
                 roots.append((complex(d, w), 2 * math.atan(d), (m * w, 0, 0), tuple(-w * e for e in f), f))
     half = (lambda t: (np.sin(t / 2), np.cos(t / 2), np.cos(t / 2) / 2, -np.sin(t / 2) / 2))
-    chart = _Chart(0.0, roots, zeros, half, lambda t: c + s * np.tan(t / 2), None)
-    return _circle_report(wf, chart, local_wavenumber, probability_current)
+    return _Chart(0.0, roots, zeros, half, lambda t: c + s * np.tan(t / 2), None)
+
+
+def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
+    """Every maximal region with k < 0, the tangencies of k with 0 and the minima
+    of k and j, exactly, on the circle of _line_chart."""
+    return _circle_report(wf, _line_chart(wf), local_wavenumber, probability_current)
+
+
+def density_critical_points(wf: LineWaveFunction) -> np.ndarray:
+    """The x of the critical points of |psi|^2 (some repeated; a real zero of psi,
+    a minimum, among them), by the circle-root engine of backflow_intervals."""
+    chart = _line_chart(wf)
+    _, theta, kind = _polished_roots(chart, _evaluator(chart)[0], (3,))
+    return chart.to_x(theta[kind == 3])
 
 
 def with_phase(wf: LineWaveFunction, phase: complex) -> LineWaveFunction:

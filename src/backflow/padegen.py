@@ -10,7 +10,9 @@ reduces to the convolution alpha_k = sum_l beta_l p_(k-l).
 Accuracy on the design interval is bought with pole distance, and paid for
 in amplitude outside the interval: for the oscillatory profile exp(-ix) with
 an order-(m+1) pole at -ib, the peak-to-interval amplitude ratio grows like
-b^m / m!.
+b^m / m!. That ratio is exact: |psi| is compared at the critical points of
+|psi|^2 (contwave.density_critical_points, the circle-root engine of the
+backflow analysis), not over a window or a grid.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .contwave import (
     LineWaveFunction,
     RationalSpec,
     Root,
+    density_critical_points,
     make_line_wavefunction,
     with_phase,
 )
@@ -82,7 +84,8 @@ class DesignReport:
 
     max_error_on_interval is sup |psi - N p| / N over the design interval;
     amplitude_ratio is max |psi| over the whole line divided by its maximum
-    on the interval (>= 1: the price of backflow fidelity)."""
+    on the interval (>= 1: the price of backflow fidelity), both taken over
+    the critical points of |psi|^2 and the interval's ends, with no window."""
 
     wavefunction: LineWaveFunction
     numerator: Poly
@@ -106,32 +109,6 @@ def pade_numerator(problem: PadeProblem) -> Poly:
     for k in range(m + 1):
         alpha.append(sum(beta[l] * p[k - l] for l in range(0, min(k, len(beta) - 1) + 1)))
     return Poly(tuple(alpha))
-
-
-def _refined_max(fun, xs, ys):
-    """Largest local maximum of |psi|-like data, golden-section polished."""
-    best = float(np.max(ys))
-    best_x = float(xs[int(np.argmax(ys))])
-    order = np.argsort(ys)[::-1]
-    seen = 0
-    for idx in order[:32]:
-        i = int(idx)
-        if 0 < i < len(xs) - 1 and ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1]:
-            seen += 1
-            try:
-                res = minimize_scalar(
-                    lambda t: -fun(t),
-                    bracket=(float(xs[i - 1]), float(xs[i]), float(xs[i + 1])),
-                    method="golden",
-                    options={"xtol": 1e-12},
-                )
-                if -res.fun > best:
-                    best, best_x = float(-res.fun), float(res.x)
-            except ValueError:
-                pass
-            if seen >= 6:
-                break
-    return best, best_x
 
 
 def design_wavefunction(problem: PadeProblem) -> DesignReport:
@@ -170,22 +147,11 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     profile = horner(problem.profile_coeffs, xs + 0j)
     max_error = float(np.max(np.abs(rational - profile)))
 
-    # amplitude price: global max of |psi| against its max on the interval
-    b_max = max(abs(p.position) for p in problem.poles)
-    window = 20.0 * max(b_max, x0)
-    xs_glob = np.linspace(-window, window, 8001)
-    abs_psi = np.abs(wf(xs_glob))
-    glob_max, _ = _refined_max(lambda t: abs(complex(wf(t))), xs_glob, abs_psi)
-    abs_int = np.abs(wf(xs))
-    int_max, _ = _refined_max(lambda t: abs(complex(wf(t))), xs, abs_int)
-    ratio = max(glob_max / int_max, 1.0)
-
-    return DesignReport(
-        wavefunction=wf,
-        numerator=numerator,
-        max_error_on_interval=max_error,
-        amplitude_ratio=ratio,
-    )
+    # amplitude price: |psi| at the critical points of |psi|^2 and the interval's ends
+    xs_crit = np.append(density_critical_points(wf), [-x0, x0])
+    amplitude = np.abs(wf(xs_crit))
+    ratio = float(amplitude.max() / amplitude[np.abs(xs_crit) <= x0].max())
+    return DesignReport(wf, numerator, max_error, ratio)
 
 
 def amplitude_scaling_probe(

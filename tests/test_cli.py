@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -232,3 +233,18 @@ class TestVerify:
         assert rc == 0
         assert "reference_normalization" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("payload", [EXAMPLE_ONE, EXAMPLE_THREE], ids=["line", "ring"])
+    def test_normalization_bound_ignores_tol(self, tmp_path, capsys, monkeypatch, payload):
+        # N off by 1e-7 puts the |psi|^2 integral 2e-7 from 1: outside 1e-8 even at --tol 1e-6
+        build = cli.build_wavefunction
+
+        def scaled(descriptor):
+            wf = build(descriptor)
+            return dataclasses.replace(wf, norm_constant=wf.norm_constant * (1 + 1e-7))
+
+        monkeypatch.setattr(cli, "build_wavefunction", scaled)
+        rc = cli.main(["verify", "--input", write_descriptor(tmp_path, payload), "--tol", "1e-6"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert [line.split()[1] for line in out if line.startswith("normalization")] == ["FAIL"]

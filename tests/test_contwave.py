@@ -257,6 +257,27 @@ class TestBackflowIntervals:
         assert cw.local_wavenumber(wf, lo - 1.0) > 0
 
 
+def merged(xs, tol=1e-9):
+    """Sorted xs with points closer than tol to the previous kept one dropped."""
+    out = []
+    for x in sorted(xs):
+        if not out or x - out[-1] > tol:
+            out.append(x)
+    return out
+
+
+class TestDensityCriticalPoints:
+    def test_example_one(self):
+        # |psi|^2 = N^2 (x^2 + 1/16) / (x^2 + 1)^2: (|psi|^2)' vanishes at 0 and where x^2 = 7/8
+        points = merged(cw.density_critical_points(example_one(-0.25j)))
+        assert points == pytest.approx([-math.sqrt(7 / 8), 0.0, math.sqrt(7 / 8)], abs=1e-12)
+
+    def test_real_zero(self):
+        # |psi|^2 = N^2 (x - 1)^2 / (x^2 + 1)^2: maxima where x^2 - 2x - 1 = 0, the zero x = 1 a minimum
+        points = [x for x in merged(cw.density_critical_points(example_one(1.0))) if abs(x - 1) > 1e-9]
+        assert points == pytest.approx([1 - math.sqrt(2), 1 + math.sqrt(2)], abs=1e-12)
+
+
 def exp_design(m: int, b: float) -> cw.LineWaveFunction:
     """exp(-ix) on (-pi, pi) with an order-(m+1) pole at -ib."""
     problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (cw.Root(-1j * b, m + 1),), math.pi)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -162,6 +163,54 @@ class TestDesign:
         for p in (-0.5, -2.0, -7.0):
             neg = oracle.fourier_quadrature(wf, p, tol=1e-9).value
             assert abs(neg) < 1e-6 * peak
+
+
+def mp_amplitude_ratio(wf: cw.LineWaveFunction, x0: float) -> float:
+    """max |psi| over the line over its max on [-x0, x0], at 40 digits from the
+    same float root data: the critical points of |psi|^2 are among the real parts
+    of the roots of sum_l 2 m_l (x - u_l) prod_(j != l) ((x - u_j)^2 + v_j^2)."""
+
+    def mul(p, q):  # ascending coefficients
+        out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    with mpmath.workdps(40):
+        rows = [(mpmath.mpc(r.position), sign * r.multiplicity)
+                for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)) for r in roots]
+        slope = [mpmath.mpf(0)] * (2 * len(rows))
+        for l, (a, m) in enumerate(rows):
+            term = [-2 * m * a.real, 2 * m]
+            for j, (b, _) in enumerate(rows):
+                if j != l:
+                    term = mul(term, [abs(b) ** 2, -2 * b.real, 1])
+            slope = [s + t for s, t in zip(slope, term)]
+        roots = mpmath.polyroots(slope[::-1], maxsteps=200, extraprec=200)
+        xs = [r.real for r in roots] + [-mpmath.mpf(x0), mpmath.mpf(x0)]
+
+        def amplitude(x):
+            return abs(mpmath.fprod((x - a) ** m for a, m in rows))
+
+        inside = max(amplitude(x) for x in xs if abs(x) <= x0)
+        return float(max(amplitude(x) for x in xs) / inside)
+
+
+class TestAmplitudeRatio:
+    def test_narrow_peak_against_mpmath(self):
+        # a pole 1.1e-5 below the axis: |psi| peaks ~1.6e4 times above the interval, over ~1e-5
+        poles = (Root(-30j, 3), Root(-1.1152202888346672 - 1.0787726726300035e-05j))
+        report = pg.design_wavefunction(pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 2, poles, 1.0))
+        expect = mp_amplitude_ratio(report.wavefunction, 1.0)
+        assert expect == pytest.approx(15623.4271368712, rel=1e-12)
+        assert report.amplitude_ratio == pytest.approx(expect, abs=1e-9)
+
+    @pytest.mark.parametrize("m, b", [(8, 3 * math.pi), (8, 15 * math.pi), (16, 10 * math.pi)])
+    def test_designs_against_mpmath(self, m, b):
+        report = pg.design_wavefunction(exp_design_problem(m, b, math.pi))
+        expect = mp_amplitude_ratio(report.wavefunction, math.pi)
+        assert report.amplitude_ratio == pytest.approx(expect, rel=1e-12)
 
 
 class TestScalingProbe:
