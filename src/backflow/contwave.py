@@ -17,7 +17,9 @@ the root data alone:
   trigonometric polynomials (_circle_report, shared with the ring);
 * the critical points of |psi|^2, where the designer reads its amplitude
   price, are the real roots of one more, (log|psi|^2)' prod q prod q0, from
-  the same engine (density_critical_points).
+  the same engine (density_critical_points);
+* N is a Gauss-Kronrod quadrature in theta on that circle, where |f|^2 dx is
+  smooth and periodic (_chart_norm_integral); construction calls no oracle.
 
 Units: hbar = mass = 1; x in units of an arbitrary length scale, momenta in
 its inverse, currents in the corresponding frequency.
@@ -32,7 +34,6 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from . import oracle
 from .errors import QuadratureFailure, SingularPoint, SpecViolation
 from .polyring import circle_roots, horner, rational_series
 
@@ -44,6 +45,13 @@ NORM_TOL = 1e-10
 ROOT_MERGE = 1e-7
 ROUNDOFF_K = 1e-12
 _SQRT_2PI = math.sqrt(2 * math.pi)
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): nodes x >= 0, Kronrod and Gauss weights
+_GK = np.array([[0.99145537112081264, 0.94910791234275853, 0.86486442335976907, 0.74153118559939444,
+                 0.58608723546769113, 0.40584515137739717, 0.20778495500789847, 0.0],
+                [0.022935322010529225, 0.063092092629978553, 0.10479001032225018, 0.14065325971552592,
+                 0.16900472663926790, 0.19035057806478541, 0.20443294007529889, 0.20948214108472783],
+                [0, 0.12948496616886969, 0, 0.27970539148927667, 0, 0.38183005050511894, 0, 0.41795918367346939]])
+_GK_X, _GK_W, _GK_G = np.concatenate([_GK * [[-1], [1], [1]], _GK[:, -2::-1]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -187,14 +195,52 @@ class BackflowReport:
 
 
 def make_line_wavefunction(spec: RationalSpec) -> LineWaveFunction:
-    """Normalize N = (integral |f|^2 dx)^(-1/2) by adaptive quadrature."""
+    """Normalize N = (integral |f|^2 dx)^(-1/2) by the chart quadrature _chart_norm_integral."""
     validate_line_spec(spec)
-    unnormalized = LineWaveFunction(spec, 1.0)
-    res = oracle.norm_quadrature(unnormalized, "line", NORM_TOL)
-    total = res.value.real
+    total = _chart_norm_integral(spec)
     if not (total > 0 and math.isfinite(total)):
         raise QuadratureFailure(f"|f|^2 integral came out as {total!r}")
     return LineWaveFunction(spec, 1.0 / math.sqrt(total))
+
+
+def _chart_norm_integral(spec: RationalSpec) -> float:
+    """integral |f|^2 dx on the circle x = c + s tan(theta/2) of _line_chart, from the root offsets
+    (r - c)/s = d + iw, never from x: with q = |sin(theta/2) - (d + iw) cos(theta/2)|^2, |f|^2 dx =
+    s^(2(m-n)+1)/2 cos^(2(n-m)-2)(theta/2) prod q^(+-mult) dtheta. G7/K15 panels break on a 12-panel
+    grid and at each root's theta_r = 2 atan(d) +- 4^j 2|w|/(1+d^2); rounds bisect those over their
+    share of 0.1 NORM_TOL |total|. Nodes are tau about the nearest theta_r: in theta, a 1e-6 peak loses 1e-11."""
+    positions = np.array([r.position for r in spec.zeros + spec.poles])
+    c, s = _centre_scale(positions)
+    zeta = (positions - c) / s
+    power = np.array([r.multiplicity for r in spec.zeros] + [-r.multiplicity for r in spec.poles])[:, None, None]
+    tail = 2 * (spec.n - spec.m) - 2
+    centre, width = 2 * np.arctan(zeta.real), 2 * np.abs(zeta.imag) / (1 + zeta.real**2)
+    sin0, cos0 = np.sin(centre / 2), np.cos(centre / 2)
+    # sin(theta/2) - zeta cos(theta/2) = cos(tau/2) at0 + sin(tau/2) turn0, per (root, centre)
+    at0, turn0 = (sin0 - cos0 * zeta[:, None])[..., None], (cos0 + sin0 * zeta[:, None])[..., None]
+    grades = width[:, None] * 4.0 ** np.arange(32)
+    keep = (grades > 0) & (grades < 2 * math.pi)
+    points = np.concatenate([np.linspace(-math.pi, math.pi, 12, endpoint=False), centre,
+                             (centre[:, None] + grades)[keep], (centre[:, None] - grades)[keep]])
+    edges = np.append(np.sort(np.remainder(points + math.pi, 2 * math.pi) - math.pi), math.pi)
+    k = np.argmin(np.abs(0.5 * (edges[:-1] + edges[1:]) - centre[:, None]), axis=0)
+    lo, hi = edges[:-1] - centre[k], edges[1:] - centre[k]  # in tau about centre k
+    done = np.empty((5, 0))  # centre, lo, hi, K15 value and |K15 - G7| of every panel so far
+    while lo.size and done.shape[1] + lo.size <= 2000:  # none to split: a NaN
+        half = 0.5 * (hi - lo)
+        t = 0.5 * (0.5 * (hi + lo))[:, None] + (0.5 * half)[:, None] * _GK_X  # tau/2 at the nodes
+        ct, st = np.cos(t), np.sin(t)
+        u = ct * at0[:, k] + st * turn0[:, k]
+        y = np.prod((u.real**2 + u.imag**2) ** power, axis=0) * (cos0[k, None] * ct - sin0[k, None] * st) ** tail
+        done = np.concatenate([done, [k, lo, hi, half * (y @ _GK_W), np.abs(half * (y @ (_GK_W - _GK_G)))]], axis=1)
+        total, error = done[3:].sum(axis=1)
+        budget = 0.1 * NORM_TOL * abs(total)
+        if error <= budget:
+            return 0.5 * s ** (2 * (spec.m - spec.n) + 1) * total
+        split = done[4] > budget / done.shape[1]
+        (k, lo, hi), done = done[:3, split], done[:, ~split]
+        k, lo, hi = np.tile(k.astype(int), 2), np.append(lo, 0.5 * (lo + hi)), np.append(0.5 * (lo + hi), hi)
+    raise QuadratureFailure(f"|f|^2 chart quadrature did not reach {NORM_TOL:.1e} relative in 2000 panels")
 
 
 def eval_psi(wf: LineWaveFunction, x):
@@ -448,15 +494,18 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
 
 
-def _line_chart(wf: LineWaveFunction) -> _Chart:
-    """The line on the circle x = c + s tan(theta/2), c the mean real part of the
-    roots and s their median distance from c. For u + iv = c + s(d + iw),
-    (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw) cos(theta/2)|^2
-    = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
-    positions = [r.position for r in wf.spec.zeros + wf.spec.poles]
+def _centre_scale(positions) -> tuple[float, float]:
+    """c, the mean real part of the positions, and s, their median distance from c."""
     c = sum(z.real for z in positions) / len(positions)
     dist = sorted(abs(z - c) for z in positions)
-    s = (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2  # the median
+    return c, (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2
+
+
+def _line_chart(wf: LineWaveFunction) -> _Chart:
+    """The line on the circle x = c + s tan(theta/2), c and s from _centre_scale of the roots. For
+    u + iv = c + s(d + iw), (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw)
+    cos(theta/2)|^2 = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
+    c, s = _centre_scale([r.position for r in wf.spec.zeros + wf.spec.poles])
     roots, zeros = [], []
     for sign, group in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
         for r in group:

@@ -197,9 +197,9 @@ def _companion_eigenvalues(coeffs: Sequence[complex]) -> np.ndarray:
 
 
 def _newton_polish(coeffs, dcoeffs, z0, top, iters=60):
-    """Newton iteration keeping the best residual seen; works on R or C.
-    top = max |coeffs|, the residual scale of the polynomial."""
-    z, best, best_r = z0, z0, _rel_residual(coeffs, z0, top)
+    """Newton iteration keeping the best residual seen, to a step below 1e-16 (1 + |z|), which
+    round-off seldom allows, or 6 steps without a new best; works on R or C. top = max |coeffs|."""
+    z, best, best_r, stall = z0, z0, _rel_residual(coeffs, z0, top), 0
     for _ in range(iters):
         dz = horner(dcoeffs, z)
         if dz == 0:
@@ -207,9 +207,10 @@ def _newton_polish(coeffs, dcoeffs, z0, top, iters=60):
         step = horner(coeffs, z) / dz
         z = z - step
         r = _rel_residual(coeffs, z, top)
+        stall = 0 if r < best_r else stall + 1
         if r < best_r:
             best, best_r = z, r
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+        if abs(step) <= 1e-16 * (1.0 + abs(z)) or stall == 6:
             break
     return best, best_r
 

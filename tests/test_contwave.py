@@ -62,6 +62,54 @@ class TestConstruction:
         assert len(spec.poles) == 1
         assert spec.poles[0].multiplicity == 2
 
+    def test_builds_without_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("line construction called the quadrature oracle")
+
+        monkeypatch.setattr(oracle, "norm_quadrature", refuse)
+        assert example_one(-0.25j).norm_constant == pytest.approx(example_one_norm(-0.25j), rel=1e-12)
+        problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 8, (cw.Root(-3j * math.pi, 9),), math.pi)
+        assert pg.design_wavefunction(problem).wavefunction.norm_constant > 0
+
+
+def mp_norm_integral(spec: cw.RationalSpec):
+    """integral |f|^2 dx at 40 digits from the same float root data, broken at each
+    root's real part and at steps growing x4 from its |Im| on both sides."""
+    with mpmath.workdps(40):
+        rows = [(mpmath.mpc(r.position), sign * r.multiplicity)
+                for sign, roots in ((1, spec.zeros), (-1, spec.poles)) for r in roots]
+        points = {z.real + side * abs(z.imag) * 4**k for z, _ in rows for side in (-1, 1) for k in range(8)}
+        return mpmath.quad(
+            lambda x: mpmath.fprod(abs(x - z) ** (2 * p) for z, p in rows),
+            [-mpmath.inf, *sorted(points), mpmath.inf],
+        )
+
+
+def example_one_moved(scale: float, offset: float = 0.0) -> cw.RationalSpec:
+    """(x + i/4) / (x + i)^2 stretched by `scale` and moved to x = offset * scale."""
+    return cw.RationalSpec(
+        zeros=(cw.Root(scale * (offset - 0.25j)),), poles=(cw.Root(scale * (offset - 1j), 2),)
+    )
+
+
+class TestChartNormalization:
+    """Valid states whose |f|^2 the oracle's tan-mapped quadrature cannot integrate
+    (it raises QuadratureFailure); the chart quadrature must match mpmath."""
+
+    @pytest.mark.parametrize(
+        "scale, offset", [(1e-8, 0.0), (1e12, 0.0), (1e-8, 1e6), (1.0, 1e6), (1e12, 1e6)]
+    )
+    def test_example_one_scaled_and_translated(self, scale, offset):
+        spec = example_one_moved(scale, offset)
+        wf = cw.make_line_wavefunction(spec)
+        assert wf.norm_constant**-2 == pytest.approx(float(mp_norm_integral(spec)), rel=1e-11)
+
+    def test_pole_close_to_the_axis(self):
+        spec = cw.RationalSpec(zeros=(cw.Root(0.3 - 0.2j),), poles=(cw.Root(-1e-6j), cw.Root(1 - 1j)))
+        expect = float(mp_norm_integral(spec))
+        assert expect == pytest.approx(204205.72159746366, rel=1e-15)
+        assert cw.make_line_wavefunction(spec).norm_constant**-2 == pytest.approx(expect, rel=1e-11)
+
 
 class TestEvalPsi:
     def test_value_at_origin(self):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +123,20 @@ def test_plancherel_for_example_one():
     sp = cw.momentum_spectrum(wf)
     val, err = quad(lambda p: abs(cw.eval_spectrum(sp, p)) ** 2, 0, 60, limit=200)
     assert val == pytest.approx(1.0, abs=1e-6)
+
+
+def test_analytic_modules_do_not_import_the_oracle():
+    """Construction and analysis never call the oracle, so it stays an independent check."""
+    package = Path(cw.__file__).parent
+    importers = []
+    for name in ("contwave", "ringwave", "polyring", "padegen"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "oracle" for n in names):
+                importers.append(f"{name}.py:{node.lineno}")
+    assert importers == []

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backflow import padegen as pg
+from backflow import polyring
+from backflow.contwave import Root
 from backflow.errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 from backflow.polyring import (
     Poly,
@@ -235,3 +238,23 @@ def test_real_roots_recovery(xs):
     for r, x in zip(got, xs):
         assert r.value == pytest.approx(x, abs=1e-8)
         assert r.multiplicity == 1
+
+
+def test_newton_polish_stops_at_round_off(monkeypatch):
+    # the m = 20, b = 15 pi Pade numerator, whose residuals reach round-off in a few
+    # steps while the 1e-16 step test seldom fires
+    numerator = pg.pade_numerator(
+        pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 20, (Root(-15j * math.pi, 21),), math.pi)
+    )
+    calls, horner = [], polyring.horner
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(polyring, "horner", counted)
+    roots = complex_roots(numerator)
+    monkeypatch.undo()
+    # one residual at each start, then p'(z), p(z) and the residual per Newton step
+    assert (len(calls) - 20) / (3 * 20) <= 12
+    assert max(polyring.root_residual(numerator, z) for z, _ in roots) <= 1e-15

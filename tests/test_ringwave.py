@@ -68,6 +68,8 @@ class TestConstruction:
         wf = example_three(1.01, 3)
         assert len(orders) == 1
         assert len(wf.taylor_coeffs) == 4531
+        # and it aims at the 1e-16 tail itself, with no slack: 5,423 terms for the 4,531 kept
+        assert orders[0] <= 5500
 
     @pytest.mark.parametrize("a, n", [(1.1, 6), (1.01, 3)])
     def test_taylor_coefficients_against_mpmath(self, a, n):
