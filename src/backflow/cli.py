@@ -3,7 +3,9 @@
 Subcommands:
   analyze  sample density / wave number / current plus the momentum spectrum
   design   run the constrained Pade designer from a design descriptor
-  figure   emit the datasets behind the four reference figures
+  figure   emit the datasets behind the four reference figures: figures 1-3
+           are analyze on built-in states, figure 4 is design on two
+           built-in problems
   verify   run the oracle cross-check suite against a descriptor
 
 Descriptors are JSON with explicit re/im fields (no complex literals).
@@ -51,16 +53,37 @@ class WaveFunctionDescriptor:
     period: float = 1.0
 
 
-def _roots_from_json(items, label) -> tuple[cw.Root, ...]:
-    roots = []
-    for item in items:
-        try:
-            re, im = float(item["re"]), float(item["im"])
-            mult = int(item.get("mult", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecViolation(f"malformed {label} entry {item!r}: {exc}") from exc
-        roots.append(cw.Root(complex(re, im), mult))
-    return tuple(roots)
+def _read_json_object(path: str) -> dict:
+    """The descriptor object in a JSON file; any other JSON value is invalid input."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise SpecViolation(f"descriptor must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _number(convert, value, label: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecViolation(f"{label} must be a number, got {value!r}") from exc
+
+
+def _complex_entries(items, label: str) -> list[tuple[complex, dict]]:
+    """(re + i im, entry) for each {re, im, ...} object of a JSON list."""
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise SpecViolation(f"{label} entries must be a list of {{re, im}} objects, got {items!r}")
+    return [
+        (complex(_number(float, item.get("re"), f"{label} re"), _number(float, item.get("im"), f"{label} im")), item)
+        for item in items
+    ]
+
+
+def _roots_from_json(items, label: str) -> tuple[cw.Root, ...]:
+    return tuple(
+        cw.Root(z, _number(int, item.get("mult", 1), f"{label} multiplicity"))
+        for z, item in _complex_entries(items, label)
+    )
 
 
 def parse_descriptor(obj: dict) -> WaveFunctionDescriptor:
@@ -69,7 +92,7 @@ def parse_descriptor(obj: dict) -> WaveFunctionDescriptor:
         raise SpecViolation(f"descriptor kind must be 'line' or 'ring', got {kind!r}")
     zeros = _roots_from_json(obj.get("zeros", []), "zero")
     poles = _roots_from_json(obj.get("poles", []), "pole")
-    period = float(obj.get("period", 1.0))
+    period = _number(float, obj.get("period", 1.0), "period")
     return WaveFunctionDescriptor(kind, zeros, poles, period)
 
 
@@ -97,15 +120,12 @@ def build_wavefunction(d: WaveFunctionDescriptor):
 
 @dataclass(frozen=True)
 class SampledField:
-    """Field rows (x, density, wavenumber, current) plus spectrum rows."""
+    """Field rows (x, density, wavenumber, current)."""
 
     x: np.ndarray
     density: np.ndarray
     wavenumber: np.ndarray  # NaN at singular points
     current: np.ndarray
-    spectrum_axis: np.ndarray  # p values (line) or k indices (ring)
-    spectrum_abs: np.ndarray
-    spectrum_arg: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.diff(self.x) > 0):
@@ -160,32 +180,11 @@ def backflow_report_json(report: cw.BackflowReport) -> dict:
 
 def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
     xs = np.linspace(lo, hi, samples)
-    dens = np.abs(wf(xs)) ** 2
     if isinstance(wf, cw.LineWaveFunction):
         ks, js = cw.local_wavenumber(wf, xs), cw.probability_current(wf, xs)
-        axis = np.linspace(0.0, DEFAULT_P_MAX, samples)
-        vals = cw.eval_spectrum(cw.momentum_spectrum(wf), axis)
     else:
         ks, js = rw.ring_wavenumber(wf, xs), rw.ring_current(wf, xs)
-        vals = np.asarray(rw.ring_spectrum(wf).coeffs)
-        axis = np.arange(1, len(vals) + 1, dtype=float)
-    return SampledField(xs, dens, ks, js, axis, np.abs(vals), np.angle(vals))
-
-
-def _spectrum_terms_json(wf) -> list | dict:
-    if isinstance(wf, cw.LineWaveFunction):
-        sp = cw.momentum_spectrum(wf)
-        return [
-            {
-                "pole": {"re": t.pole.real, "im": t.pole.imag},
-                "coeffs": [{"re": c.real, "im": c.imag} for c in t.coeffs],
-            }
-            for t in sp.terms
-        ]
-    sp = rw.ring_spectrum(wf)
-    return [
-        {"k": k + 1, "re": c.real, "im": c.imag} for k, c in enumerate(sp.coeffs)
-    ]
+    return SampledField(xs, np.abs(wf(xs)) ** 2, ks, js)
 
 
 # ---------------------------------------------------------------------------
@@ -193,44 +192,47 @@ def _spectrum_terms_json(wf) -> list | dict:
 
 
 def _analyze(descriptor: WaveFunctionDescriptor, x_range, samples: int):
-    """Build, sample and analyse a state: the step analyze and figure share."""
+    """Build and analyse a state once: the step analyze and figure share, and the one place
+    they tell the line from the ring. Returns the state, its field on x_range (None: the
+    default), its spectrum as CSV (header, [axis, |value|, arg]) and JSON terms, and its report."""
     wf = build_wavefunction(descriptor)
+    if descriptor.kind == "line":
+        x_range = x_range or DEFAULT_LINE_RANGE
+        sp = cw.momentum_spectrum(wf)
+        header, axis = ["p", "abs_spectrum", "arg_spectrum"], np.linspace(0.0, DEFAULT_P_MAX, samples)
+        vals = cw.eval_spectrum(sp, axis)
+        terms = [
+            {"pole": {"re": t.pole.real, "im": t.pole.imag}, "coeffs": [{"re": c.real, "im": c.imag} for c in t.coeffs]}
+            for t in sp.terms
+        ]
+        report = cw.backflow_intervals(wf)
+    else:
+        x_range = x_range or (-descriptor.period / 2, descriptor.period / 2)
+        coeffs = rw.ring_spectrum(wf).coeffs
+        vals = np.asarray(coeffs)
+        header, axis = ["k", "abs_ck", "arg_ck"], np.arange(1, len(vals) + 1, dtype=float)
+        terms = [{"k": k, "re": c.real, "im": c.imag} for k, c in enumerate(coeffs, 1)]
+        report = rw.ring_backflow_intervals(wf)
     field = sample_field(wf, x_range[0], x_range[1], samples)
-    report = (
-        cw.backflow_intervals(wf)
-        if descriptor.kind == "line"
-        else rw.ring_backflow_intervals(wf)
-    )
-    return wf, field, report
+    return wf, field, (header, [axis, np.abs(vals), np.angle(vals)]), terms, report
 
 
 def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int = DEFAULT_SAMPLES) -> int:
-    with open(input_path, encoding="utf-8") as fh:
-        descriptor = parse_descriptor(json.load(fh))
-    if x_range is None:
-        if descriptor.kind == "line":
-            x_range = DEFAULT_LINE_RANGE
-        else:
-            x_range = (-descriptor.period / 2, descriptor.period / 2)
-    wf, field, report = _analyze(descriptor, x_range, samples)
+    descriptor = parse_descriptor(_read_json_object(input_path))
+    wf, field, spectrum, terms, report = _analyze(descriptor, x_range, samples)
     write_csv(
         f"{output_prefix}_field.csv",
         ["x", "density", "wavenumber", "current"],
         [field.x, field.density, field.wavenumber, field.current],
     )
-    spec_header = ["p", "abs_spectrum", "arg_spectrum"] if descriptor.kind == "line" else ["k", "abs_ck", "arg_ck"]
-    write_csv(
-        f"{output_prefix}_spectrum.csv",
-        spec_header,
-        [field.spectrum_axis, field.spectrum_abs, field.spectrum_arg],
-    )
+    write_csv(f"{output_prefix}_spectrum.csv", *spectrum)
     write_json(
         f"{output_prefix}_report.json",
         {
             "descriptor": descriptor_to_json(descriptor),
             "norm_constant": wf.norm_constant,
             "backflow": backflow_report_json(report),
-            "spectrum": _spectrum_terms_json(wf),
+            "spectrum": terms,
         },
     )
     return 0
@@ -239,34 +241,38 @@ def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int 
 def _parse_design_descriptor(obj: dict) -> pg.PadeProblem:
     profile = obj.get("profile")
     if isinstance(profile, dict) and profile.get("kind") == "exp":
-        kappa = float(profile["kappa"])
-        coeffs = pg.exp_profile_coeffs(kappa)
+        coeffs = pg.exp_profile_coeffs(_number(float, profile.get("kappa"), "kappa"))
     elif isinstance(profile, dict) and "coeffs" in profile:
-        coeffs = tuple(complex(float(c["re"]), float(c["im"])) for c in profile["coeffs"])
+        coeffs = tuple(z for z, _ in _complex_entries(profile["coeffs"], "profile coefficient"))
     else:
         raise SpecViolation(
             "design profile must be {'kind': 'exp', 'kappa': ...} or {'coeffs': [{re, im}, ...]}"
         )
-    try:
-        m = int(obj["m"])
-        x0 = float(obj["x0"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecViolation(f"design descriptor needs integer m and real x0: {exc}") from exc
+    m = _number(int, obj.get("m"), "design m")
+    x0 = _number(float, obj.get("x0"), "design x0")
     poles = _roots_from_json(obj.get("poles", []), "pole")
     problem = pg.PadeProblem(coeffs, m, poles, x0)
     problem.validate()
     return problem
 
 
-def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPLES) -> int:
-    with open(input_path, encoding="utf-8") as fh:
-        problem = _parse_design_descriptor(json.load(fh))
+def _design(problem: pg.PadeProblem, xs: np.ndarray):
+    """Design a state and sample psi on xs, the step design and figure 4 share. Returns the report,
+    psi on xs, the scale that puts the profile on psi's normalization, and the three report numbers."""
     report = pg.design_wavefunction(problem)
     wf = report.wavefunction
-    x0 = problem.half_width
-    xs = np.linspace(-2 * x0, 2 * x0, samples)
-    vals = wf(xs)
-    scale = wf.norm_constant / abs(report.numerator.coeffs[-1])
+    numbers = {
+        "max_error_on_interval": report.max_error_on_interval,
+        "amplitude_ratio": report.amplitude_ratio,
+        "norm_constant": wf.norm_constant,
+    }
+    return report, wf(xs), wf.norm_constant / abs(report.numerator.coeffs[-1]), numbers
+
+
+def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPLES) -> int:
+    problem = _parse_design_descriptor(_read_json_object(input_path))
+    xs = np.linspace(-2 * problem.half_width, 2 * problem.half_width, samples)
+    report, vals, scale, numbers = _design(problem, xs)
     profile_vals = scale * horner(problem.profile_coeffs, xs + 0j)
     write_csv(
         f"{output_prefix}_field.csv",
@@ -277,20 +283,18 @@ def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPL
         f"{output_prefix}_report.json",
         {
             "numerator": [{"re": c.real, "im": c.imag} for c in report.numerator.coeffs],
-            "max_error_on_interval": report.max_error_on_interval,
-            "amplitude_ratio": report.amplitude_ratio,
-            "norm_constant": wf.norm_constant,
-            "zeros": _roots_json(wf.spec.zeros),
+            **numbers,
+            "zeros": _roots_json(report.wavefunction.spec.zeros),
         },
     )
     return 0
 
 
-# figures 1-3: a reference state and the x range it is sampled on
-FIGURE_PARAMS = {
-    1: (WaveFunctionDescriptor("line", (cw.Root(-0.25j),), (cw.Root(-1j, 2),)), (-5.0, 5.0)),
-    2: (WaveFunctionDescriptor("ring", (cw.Root(0j), cw.Root(math.sqrt(2) + 0j)), ()), (-0.5, 0.5)),
-    3: (WaveFunctionDescriptor("ring", (cw.Root(0j),), (cw.Root(1.5 + 0j, 3),)), (-0.5, 0.5)),
+# figures 1-3: reference states, sampled on analyze's default range
+FIGURE_STATES = {
+    1: WaveFunctionDescriptor("line", (cw.Root(-0.25j),), (cw.Root(-1j, 2),)),
+    2: WaveFunctionDescriptor("ring", (cw.Root(0j), cw.Root(math.sqrt(2) + 0j)), ()),
+    3: WaveFunctionDescriptor("ring", (cw.Root(0j),), (cw.Root(1.5 + 0j, 3),)),
 }
 # figure 4: exp(-ix) designs with an order-(m+1) pole at -ib for each b
 FIGURE4_M = 8
@@ -299,15 +303,14 @@ FIGURE4_RANGE = (-2 * math.pi, 2 * math.pi)
 
 
 def cmd_figure(figure_id: int, output_dir: str, samples: int = DEFAULT_SAMPLES) -> int:
-    if figure_id not in (*FIGURE_PARAMS, 4):
+    if figure_id not in (*FIGURE_STATES, 4):
         raise SpecViolation(f"unknown figure id {figure_id}; valid ids are 1..4")
     os.makedirs(output_dir, exist_ok=True)
     prefix = os.path.join(output_dir, f"figure{figure_id}")
     if figure_id == 4:
         return _figure_designs(prefix, samples)
 
-    descriptor, x_range = FIGURE_PARAMS[figure_id]
-    wf, field, report = _analyze(descriptor, x_range, samples)
+    wf, field, (header, spectrum), _, report = _analyze(FIGURE_STATES[figure_id], None, samples)
     write_csv(f"{prefix}_density.csv", ["x", "density"], [field.x, field.density])
     write_csv(f"{prefix}_wavenumber.csv", ["x", "wavenumber"], [field.x, field.wavenumber])
     write_csv(
@@ -315,19 +318,14 @@ def cmd_figure(figure_id: int, output_dir: str, samples: int = DEFAULT_SAMPLES) 
         ["x", "current", "abs_current"],
         [field.x, field.current, np.abs(field.current)],
     )
-    axis_name = "p" if descriptor.kind == "line" else "k"
-    write_csv(
-        f"{prefix}_spectrum.csv",
-        [axis_name, "abs_spectrum", "arg_spectrum"],
-        [field.spectrum_axis, field.spectrum_abs, field.spectrum_arg],
-    )
+    write_csv(f"{prefix}_spectrum.csv", [header[0], "abs_spectrum", "arg_spectrum"], spectrum)
     write_json(
         f"{prefix}_report.json",
         {
             "figure": figure_id,
             "norm_constant": wf.norm_constant,
             "backflow": backflow_report_json(report),
-            "spectrum_entries": len(field.spectrum_axis),
+            "spectrum_entries": len(spectrum[0]),
         },
     )
     return 0
@@ -343,10 +341,7 @@ def _figure_designs(prefix: str, samples: int) -> int:
             poles=(cw.Root(-1j * b, FIGURE4_M + 1),),
             half_width=math.pi,
         )
-        report = pg.design_wavefunction(problem)
-        wf = report.wavefunction
-        vals = wf(xs)
-        scale = wf.norm_constant / abs(report.numerator.coeffs[-1])
+        _, vals, scale, numbers = _design(problem, xs)
         tag = f"b{b / math.pi:g}pi"
         write_csv(
             f"{prefix}_{tag}_density.csv", ["x", "density"], [xs, np.abs(vals) ** 2]
@@ -356,25 +351,13 @@ def _figure_designs(prefix: str, samples: int) -> int:
             ["x", "re_psi", "im_psi", "re_profile", "im_profile"],
             [xs, vals.real, vals.imag, scale * np.cos(xs), -scale * np.sin(xs)],
         )
-        designs.append(
-            {
-                "b": b,
-                "max_error_on_interval": report.max_error_on_interval,
-                "amplitude_ratio": report.amplitude_ratio,
-                "norm_constant": wf.norm_constant,
-            }
-        )
+        designs.append({"b": b, **numbers})
     write_json(f"{prefix}_report.json", {"figure": 4, "designs": designs})
     return 0
 
 
-def _normalization_check(wf, geometry: str) -> tuple[str, bool, str]:
-    total = oracle.norm_quadrature(wf, geometry, 1e-10).value.real
-    return ("normalization", abs(total - 1) <= NORM_BOUND, f"|psi|^2 integral = {total:.12g}")
-
-
 def _verify_line(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = [_normalization_check(wf, "line")]
+    checks = []
 
     sp = cw.momentum_spectrum(wf)
     peak = float(np.max(np.abs(cw.eval_spectrum(sp, np.linspace(0.05, 10, 120)))))
@@ -413,7 +396,7 @@ def _phase_gradient_check(wf, ks, xs, h: float) -> tuple[str, bool, str]:
 
 
 def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = [_normalization_check(wf, "ring")]
+    checks = []
 
     sp = rw.ring_spectrum(wf)
     L = wf.period
@@ -456,10 +439,11 @@ def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(input_path: str, tol: float = 1e-6) -> int:
-    with open(input_path, encoding="utf-8") as fh:
-        descriptor = parse_descriptor(json.load(fh))
+    descriptor = parse_descriptor(_read_json_object(input_path))
     wf = build_wavefunction(descriptor)
-    checks = _verify_line(wf, tol) if descriptor.kind == "line" else _verify_ring(wf, tol)
+    total = oracle.norm_quadrature(wf, descriptor.kind, 1e-10).value.real
+    checks = [("normalization", abs(total - 1) <= NORM_BOUND, f"|psi|^2 integral = {total:.12g}")]
+    checks += _verify_line(wf, tol) if descriptor.kind == "line" else _verify_ring(wf, tol)
     all_ok = True
     for name, ok, detail in checks:
         all_ok &= ok

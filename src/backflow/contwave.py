@@ -318,9 +318,10 @@ def _current(psi, k_of, wf, x):
         return 0.0
 
 
-def _lorentzian_sum(wf: LineWaveFunction, x, slope: bool = False):
-    """Sum over roots of +-mult * v / ((x-u)^2 + v^2), zeros counted
-    positive and poles negative, or its x-derivative when `slope` is set."""
+def local_wavenumber(wf: LineWaveFunction, x):
+    """Signed Lorentzian sum at x, a scalar or an array: zeros contribute
+    Im(a)/|x-a|^2 per unit multiplicity, poles the negative of that.
+    Undefined on a real zero: SingularPoint for a scalar, NaN in an array."""
     if not np.isscalar(x):
         x = np.asarray(x, float)
     total = 0.0
@@ -331,15 +332,8 @@ def _lorentzian_sum(wf: LineWaveFunction, x, slope: bool = False):
             if sign > 0:
                 d2 = _defined(d2, x, "local wave number undefined at the real zero")
             w = sign * r.multiplicity * v
-            total = total + (w * -2.0 * (x - u) / (d2 * d2) if slope else w / d2)
+            total = total + w / d2
     return total
-
-
-def local_wavenumber(wf: LineWaveFunction, x):
-    """Signed Lorentzian sum at x, a scalar or an array: zeros contribute
-    Im(a)/|x-a|^2 per unit multiplicity, poles the negative of that.
-    Undefined on a real zero: SingularPoint for a scalar, NaN in an array."""
-    return _lorentzian_sum(wf, x)
 
 
 def probability_current(wf: LineWaveFunction, x):

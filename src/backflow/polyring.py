@@ -112,29 +112,6 @@ def poly_eval(p: Poly, z):
     return horner(p.coeffs, z)
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a.coeffs or not b.coeffs:
-        return Poly(())
-    return Poly(tuple(np.convolve(a.coeffs, b.coeffs)))
-
-
-def poly_taylor_shift(p: Poly, center: complex) -> Poly:
-    """Coefficients of u -> p(center + u), by repeated synthetic division."""
-    a = list(p.coeffs)
-    n = len(a)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            a[j] += center * a[j + 1]
-    return Poly(tuple(a))
-
-
-def series_from_poly(p: Poly, center: complex, order: int) -> Series:
-    shifted = poly_taylor_shift(p, center).coeffs
-    cs = list(shifted[:order])
-    cs += [0j] * (order - len(cs))
-    return Series(tuple(cs), center)
-
-
 def series_quotient(num: Series, den: Series, order: int) -> Series:
     """First `order` Taylor coefficients of num/den about the shared center, by
     back-substitution over the den coefficients below `order`: O(order len(den)),

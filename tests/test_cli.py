@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from backflow import cli
+from backflow import contwave as cw
+from backflow import ringwave as rw
 
 EXAMPLE_ONE = {
     "kind": "line",
@@ -29,6 +31,13 @@ EXAMPLE_THREE = {
     "zeros": [{"re": 0.0, "im": 0.0, "mult": 1}],
     "poles": [{"re": 1.5, "im": 0.0, "mult": 3}],
     "period": 1.0,
+}
+
+DESIGN_M8_B3PI = {
+    "profile": {"kind": "exp", "kappa": -1.0},
+    "m": 8,
+    "x0": math.pi,
+    "poles": [{"re": 0.0, "im": -3 * math.pi, "mult": 9}],
 }
 
 
@@ -114,6 +123,26 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "slow")])
         assert rc == 2
 
+    @pytest.mark.parametrize("payload", [EXAMPLE_ONE, EXAMPLE_THREE], ids=["line", "ring"])
+    def test_spectrum_built_once(self, tmp_path, monkeypatch, payload):
+        calls = {"momentum_spectrum": 0, "ring_spectrum": 0}
+
+        def counted(module, name):
+            build = getattr(module, name)
+
+            def wrapper(wf):
+                calls[name] += 1
+                return build(wf)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cw, "momentum_spectrum")
+        counted(rw, "ring_spectrum")
+        inp = write_descriptor(tmp_path, payload)
+        assert cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "once")]) == 0
+        line = payload["kind"] == "line"
+        assert calls == {"momentum_spectrum": int(line), "ring_spectrum": int(not line)}
+
     def test_determinism(self, tmp_path):
         inp = write_descriptor(tmp_path, EXAMPLE_ONE)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -127,13 +156,7 @@ class TestAnalyze:
 
 class TestDesign:
     def test_design_run(self, tmp_path):
-        design = {
-            "profile": {"kind": "exp", "kappa": -1.0},
-            "m": 8,
-            "x0": math.pi,
-            "poles": [{"re": 0.0, "im": -3 * math.pi, "mult": 9}],
-        }
-        inp = write_descriptor(tmp_path, design, "design.json")
+        inp = write_descriptor(tmp_path, DESIGN_M8_B3PI, "design.json")
         out = str(tmp_path / "design3pi")
         assert cli.main(["design", "--input", inp, "--output", out]) == 0
         with open(f"{out}_report.json", encoding="utf-8") as fh:
@@ -188,19 +211,63 @@ class TestFigure:
         assert sign_changes[1] == pytest.approx(edge, abs=xs[1] - xs[0])
 
 
+@pytest.mark.parametrize(
+    "figure_id, payload, x_range",
+    [(1, EXAMPLE_ONE, "-5:5"), (3, EXAMPLE_THREE, "-0.5:0.5")],
+    ids=["figure1", "figure3"],
+)
+def test_figure_matches_analyze(tmp_path, figure_id, payload, x_range):
+    out = str(tmp_path / "state")
+    assert cli.main(["analyze", "--input", write_descriptor(tmp_path, payload), "--output", out, f"--range={x_range}"]) == 0
+    assert cli.main(["figure", "--figure", str(figure_id), "--output", str(tmp_path)]) == 0
+    _, field = read_csv(f"{out}_field.csv")
+    prefix = os.path.join(str(tmp_path), f"figure{figure_id}")
+    np.testing.assert_array_equal(read_csv(f"{prefix}_density.csv")[1], field[:, [0, 1]])
+    np.testing.assert_array_equal(read_csv(f"{prefix}_wavenumber.csv")[1], field[:, [0, 2]])
+    np.testing.assert_array_equal(read_csv(f"{prefix}_current.csv")[1][:, :2], field[:, [0, 3]])
+    np.testing.assert_array_equal(read_csv(f"{prefix}_spectrum.csv")[1], read_csv(f"{out}_spectrum.csv")[1])
+
+
+def test_figure_four_matches_design(tmp_path):
+    out = str(tmp_path / "design")
+    assert cli.main(["design", "--input", write_descriptor(tmp_path, DESIGN_M8_B3PI), "--output", out]) == 0
+    assert cli.main(["figure", "--figure", "4", "--output", str(tmp_path)]) == 0
+    _, field = read_csv(f"{out}_field.csv")
+    prefix = os.path.join(str(tmp_path), "figure4")
+    np.testing.assert_array_equal(read_csv(f"{prefix}_b3pi_density.csv")[1], field[:, [0, 1]])
+    np.testing.assert_array_equal(read_csv(f"{prefix}_b3pi_wave.csv")[1][:, :3], field[:, [0, 2, 3]])
+    with open(f"{out}_report.json", encoding="utf-8") as fh:
+        design = json.load(fh)
+    with open(f"{prefix}_report.json", encoding="utf-8") as fh:
+        figure = next(d for d in json.load(fh)["designs"] if d["b"] == 3 * math.pi)
+    for key in ("max_error_on_interval", "amplitude_ratio", "norm_constant"):
+        assert figure[key] == design[key]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("analyze", [EXAMPLE_ONE]),
+        ("analyze", {**EXAMPLE_ONE, "zeros": 5}),
+        ("analyze", {**EXAMPLE_THREE, "period": None}),
+        ("design", {**DESIGN_M8_B3PI, "profile": {"coeffs": [1.0]}}),
+        ("design", {**DESIGN_M8_B3PI, "profile": {"kind": "exp", "kappa": None}}),
+    ],
+    ids=["array", "zeros-number", "period-null", "coeff-number", "kappa-null"],
+)
+def test_malformed_descriptor_exits_1(tmp_path, capsys, command, payload):
+    args = ["--input", write_descriptor(tmp_path, payload), "--output", str(tmp_path / "out")]
+    assert cli.main([command, *args]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("samples", ["0", "1"])
 @pytest.mark.parametrize("command", ["analyze", "design", "figure"])
 def test_fewer_than_two_samples_exits_1(tmp_path, command, samples):
     if command == "analyze":
         args = ["--input", write_descriptor(tmp_path, EXAMPLE_ONE), "--output", str(tmp_path / "out")]
     elif command == "design":
-        design = {
-            "profile": {"kind": "exp", "kappa": -1.0},
-            "m": 8,
-            "x0": math.pi,
-            "poles": [{"re": 0.0, "im": -3 * math.pi, "mult": 9}],
-        }
-        args = ["--input", write_descriptor(tmp_path, design), "--output", str(tmp_path / "out")]
+        args = ["--input", write_descriptor(tmp_path, DESIGN_M8_B3PI), "--output", str(tmp_path / "out")]
     else:
         args = ["--figure", "1", "--output", str(tmp_path / "figs")]
     before = sorted(os.listdir(tmp_path))

@@ -8,7 +8,7 @@ from backflow import contwave as cw
 from backflow import padegen as pg
 from backflow.contwave import Root
 from backflow.errors import SpecViolation
-from backflow.polyring import poly_from_roots, series_from_poly, series_quotient
+from backflow.polyring import Series, poly_from_roots, series_quotient
 
 
 def exp_design_problem(m: int, b: float, x0: float) -> pg.PadeProblem:
@@ -106,9 +106,7 @@ class TestDesign:
             report = pg.design_wavefunction(problem)
             A = report.numerator
             B = poly_from_roots(poles)
-            q = series_quotient(
-                series_from_poly(A, 0j, m + 1), series_from_poly(B, 0j, m + 1), m + 1
-            )
+            q = series_quotient(Series(A.coeffs), Series(B.coeffs), m + 1)
             scale = max(abs(c) for c in coeffs)
             for got, want in zip(q.coeffs, coeffs):
                 assert abs(got - want) <= 1e-10 * scale
