@@ -62,9 +62,9 @@ def _read_json_object(path: str) -> dict:
     return obj
 
 
-def _number(convert, value, label: str):
+def _number(value, label: str) -> float:
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise SpecViolation(f"{label} must be a number, got {value!r}") from exc
 
@@ -74,14 +74,14 @@ def _complex_entries(items, label: str) -> list[tuple[complex, dict]]:
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise SpecViolation(f"{label} entries must be a list of {{re, im}} objects, got {items!r}")
     return [
-        (complex(_number(float, item.get("re"), f"{label} re"), _number(float, item.get("im"), f"{label} im")), item)
+        (complex(_number(item.get("re"), f"{label} re"), _number(item.get("im"), f"{label} im")), item)
         for item in items
     ]
 
 
 def _roots_from_json(items, label: str) -> tuple[cw.Root, ...]:
     return tuple(
-        cw.Root(z, _number(int, item.get("mult", 1), f"{label} multiplicity"))
+        cw.Root(z, cw._integer(item.get("mult", 1), f"{label} multiplicity"))
         for z, item in _complex_entries(items, label)
     )
 
@@ -92,7 +92,7 @@ def parse_descriptor(obj: dict) -> WaveFunctionDescriptor:
         raise SpecViolation(f"descriptor kind must be 'line' or 'ring', got {kind!r}")
     zeros = _roots_from_json(obj.get("zeros", []), "zero")
     poles = _roots_from_json(obj.get("poles", []), "pole")
-    period = _number(float, obj.get("period", 1.0), "period")
+    period = _number(obj.get("period", 1.0), "period")
     return WaveFunctionDescriptor(kind, zeros, poles, period)
 
 
@@ -241,15 +241,15 @@ def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int 
 def _parse_design_descriptor(obj: dict) -> pg.PadeProblem:
     profile = obj.get("profile")
     if isinstance(profile, dict) and profile.get("kind") == "exp":
-        coeffs = pg.exp_profile_coeffs(_number(float, profile.get("kappa"), "kappa"))
+        coeffs = pg.exp_profile_coeffs(_number(profile.get("kappa"), "kappa"))
     elif isinstance(profile, dict) and "coeffs" in profile:
         coeffs = tuple(z for z, _ in _complex_entries(profile["coeffs"], "profile coefficient"))
     else:
         raise SpecViolation(
             "design profile must be {'kind': 'exp', 'kappa': ...} or {'coeffs': [{re, im}, ...]}"
         )
-    m = _number(int, obj.get("m"), "design m")
-    x0 = _number(float, obj.get("x0"), "design x0")
+    m = cw._integer(obj.get("m"), "design m")
+    x0 = _number(obj.get("x0"), "design x0")
     poles = _roots_from_json(obj.get("poles", []), "pole")
     problem = pg.PadeProblem(coeffs, m, poles, x0)
     problem.validate()

@@ -27,7 +27,6 @@ its inverse, currents in the corresponding frequency.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
@@ -62,10 +61,18 @@ class Root:
     multiplicity: int = 1
 
 
+def _integer(value, label: str) -> int:
+    """value as an int if it is an integral number (2 or 2.0); a bool, a fraction, inf or NaN is invalid."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if not integral or isinstance(value, bool):
+        raise SpecViolation(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _merged(roots: Iterable[Root], label: str) -> tuple[Root, ...]:
     out: list[Root] = []
     for r in roots:
-        pos, mult = complex(r.position), int(r.multiplicity)
+        pos, mult = complex(r.position), _integer(r.multiplicity, f"{label} multiplicity")
         if mult < 1:
             raise SpecViolation(f"{label} multiplicity must be >= 1, got {mult}")
         if not (math.isfinite(pos.real) and math.isfinite(pos.imag)):
@@ -273,72 +280,52 @@ def eval_spectrum(sp: MomentumSpectrumLine, p):
     p = 0 the principal-value half-sum applies when the decay exponent is 1,
     otherwise the continuous limit."""
     limit = sum(t.coeffs[0] for t in sp.terms)
-    at_zero = 0.5 * limit if sp.decay_order == 1 else limit
-    if np.isscalar(p):
-        return 0j if p < 0 else at_zero if p == 0 else _residue_sum(sp, p, cmath.exp)
-    p = np.asarray(p, float)
-    out = np.where(p == 0, at_zero, 0j)
-    positive = p > 0
-    out[positive] = _residue_sum(sp, p[positive], np.exp)
-    return out
+    ps = np.array(p, float, ndmin=1)
+    out = np.where(ps == 0, 0.5 * limit if sp.decay_order == 1 else limit, 0j)
+    positive = ps > 0
+    p_pos = ps[positive]
+    out[positive] = sum((horner(t.coeffs, -1j * p_pos) * np.exp(-1j * p_pos * t.pole) for t in sp.terms), 0j)
+    return _as_given(p, out)
 
 
-def _residue_sum(sp: MomentumSpectrumLine, p, exp):
-    total = 0j
-    for t in sp.terms:
-        total = total + horner(t.coeffs, -1j * p) * exp(-1j * p * t.pole)
-    return total
+def _as_given(x, value, undefined: str | None = None):
+    """value, computed on np.array(x, float, ndmin=1), as x came in: an array for an array, else a
+    Python float or complex (a NaN, where psi has no phase, raises SingularPoint if `undefined`)."""
+    if np.ndim(x):
+        return value
+    if undefined and np.isnan(value[0]):
+        raise SingularPoint(f"{undefined} x={x}")
+    return value[0].item()
 
 
-def _defined(d2, x, message):
-    """d2 = |x - zero|^2 with the points closer than 1e-12 to a zero of psi
-    excluded, since the phase is undefined there: a scalar x raises
-    SingularPoint, an array gets NaN (which the caller's sum carries on
-    without a division warning)."""
-    bad = d2 < 1e-24
-    if isinstance(bad, np.ndarray):
-        return np.where(bad, np.nan, d2)
-    if bad:
-        raise SingularPoint(f"{message} x={x}")
-    return d2
-
-
-def _current(psi, k_of, wf, x):
-    """j = |psi|^2 k with k = k_of(wf, x); zero where psi vanishes, since the
-    vanishing density dominates the phase singularity there."""
+def _current(psi, k):
+    """j = |psi|^2 k; zero where psi vanishes or k is NaN (on a zero of psi), since
+    the vanishing density dominates the phase singularity there."""
     dens = psi.real * psi.real + psi.imag * psi.imag
-    if not np.isscalar(x):
-        k = k_of(wf, x)
-        return np.where((dens == 0.0) | np.isnan(k), 0.0, dens * k)
-    if dens == 0.0:
-        return 0.0
-    try:
-        return dens * k_of(wf, x)
-    except SingularPoint:
-        return 0.0
+    return np.where((dens == 0.0) | np.isnan(k), 0.0, dens * k)
 
 
 def local_wavenumber(wf: LineWaveFunction, x):
     """Signed Lorentzian sum at x, a scalar or an array: zeros contribute
     Im(a)/|x-a|^2 per unit multiplicity, poles the negative of that.
-    Undefined on a real zero: SingularPoint for a scalar, NaN in an array."""
-    if not np.isscalar(x):
-        x = np.asarray(x, float)
+    Undefined closer than 1e-12 to a real zero: SingularPoint for a scalar,
+    NaN in an array (which the sum carries on without a division warning)."""
+    xs = np.array(x, float, ndmin=1)
     total = 0.0
     for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
         for r in roots:
             u, v = r.position.real, r.position.imag
-            d2 = (x - u) ** 2 + v * v
+            d2 = (xs - u) ** 2 + v * v
             if sign > 0:
-                d2 = _defined(d2, x, "local wave number undefined at the real zero")
-            w = sign * r.multiplicity * v
-            total = total + w / d2
-    return total
+                d2 = np.where(d2 < 1e-24, np.nan, d2)
+            total = total + sign * r.multiplicity * v / d2
+    return _as_given(x, total, undefined="local wave number undefined at the real zero")
 
 
 def probability_current(wf: LineWaveFunction, x):
     """j(x) = |psi|^2 k(x) at x, a scalar or an array; zero at real zeros of psi."""
-    return _current(eval_psi(wf, x), local_wavenumber, wf, x)
+    xs = np.array(x, float, ndmin=1)
+    return _as_given(x, _current(eval_psi(wf, xs), local_wavenumber(wf, xs)))
 
 
 class _Chart(NamedTuple):

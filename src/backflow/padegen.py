@@ -82,9 +82,9 @@ class PadeProblem:
 class DesignReport:
     """Designed state plus its fidelity/price diagnostics.
 
-    max_error_on_interval is sup |psi - N p| / N over the design interval;
-    amplitude_ratio is max |psi| over the whole line divided by its maximum
-    on the interval (>= 1: the price of backflow fidelity), both taken over
+    max_error_on_interval is max |A/B - p| of the unnormalized A/B on 2001 points of [-x0, x0],
+    i.e. |psi - s p| / s with s = N / |lead(A)|; amplitude_ratio is max |psi| over the whole line
+    divided by its maximum on the interval (>= 1: the price of backflow fidelity), exactly: over
     the critical points of |psi|^2 and the interval's ends, with no window."""
 
     wavefunction: LineWaveFunction

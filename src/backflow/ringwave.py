@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .contwave import BackflowReport, RationalSpec, _Chart, _circle_report, _current, _defined
+from .contwave import BackflowReport, RationalSpec, _Chart, _as_given, _circle_report, _current
 from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
 from .polyring import poly_from_roots, rational_series
 
@@ -58,10 +58,8 @@ class RingWaveFunction:
     taylor_coeffs: tuple[complex, ...]
 
     def __call__(self, x):
-        w = np.exp(2j * math.pi * np.asarray(x, float) / self.period) if not np.isscalar(x) \
-            else cmath.exp(2j * math.pi * x / self.period)
-        num, den = self.spec.products(w)
-        return self.norm_constant * num / den
+        num, den = self.spec.products(np.exp(2j * math.pi * np.array(x, float, ndmin=1) / self.period))
+        return _as_given(x, self.norm_constant * num / den)
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,8 @@ def _raw_taylor_coefficients(spec: RationalSpec) -> tuple[complex, ...]:
     while True:
         q = rational_series(spec.zeros, spec.poles, 0j, order).coeffs
         top = max(abs(c) for c in q)
+        if top * top < np.finfo(float).tiny:  # Parseval's |[z^k] f|^2 would underflow
+            raise TruncationFailure(f"Taylor coefficients of f underflow: peak {top:.2e}")
         if abs(q[-1]) < TAIL_REL * top:
             break
         order *= 2
@@ -136,30 +136,27 @@ def ring_spectrum(wf: RingWaveFunction) -> MomentumSpectrumRing:
 def ring_wavenumber(wf: RingWaveFunction, x):
     """Local wave number on the ring at x, a scalar or an array; roots outside
     the unit circle contribute negative values wherever their numerator
-    1 - |r| cos(...) has the right sign. Undefined on a circle zero:
-    SingularPoint for a scalar, NaN in an array."""
-    if np.isscalar(x):
-        exp, cos = cmath.exp, math.cos
-    else:
-        exp, cos, x = np.exp, np.cos, np.asarray(x, float)
-    theta = 2 * math.pi * x / wf.period
-    w = exp(1j * theta)
+    1 - |r| cos(...) has the right sign. Undefined closer than 1e-12 to a
+    circle zero: SingularPoint for a scalar, NaN in an array."""
+    theta = 2 * math.pi * np.array(x, float, ndmin=1) / wf.period
+    w = np.exp(1j * theta)
     total = 0.0
     for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
         for r in roots:
             pos = r.position
             d2 = abs(w - pos) ** 2
             if sign > 0:
-                d2 = _defined(d2, x, "wave number undefined at the circle zero")
-            num = 1.0 - abs(pos) * cos(theta - cmath.phase(pos))
+                d2 = np.where(d2 < 1e-24, np.nan, d2)
+            num = 1.0 - abs(pos) * np.cos(theta - cmath.phase(pos))
             total = total + sign * r.multiplicity * num / d2
-    return (2 * math.pi / wf.period) * total
+    return _as_given(x, (2 * math.pi / wf.period) * total, undefined="wave number undefined at the circle zero")
 
 
 def ring_current(wf: RingWaveFunction, x):
     """j(x) = |psi|^2 k(x) at x, a scalar or an array; zero where psi
     vanishes on the circle."""
-    return _current(wf(x), ring_wavenumber, wf, x)
+    xs = np.array(x, float, ndmin=1)
+    return _as_given(x, _current(wf(xs), ring_wavenumber(wf, xs)))
 
 
 def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:

@@ -112,16 +112,17 @@ class TestAnalyze:
         assert header == ["k", "abs_ck", "arg_ck"]
         assert rows.shape[0] == 2
 
-    def test_slow_coefficient_decay_exits_2(self, tmp_path):
-        # pole hugging the unit circle: the coefficient tail cannot be truncated
-        bad = {
-            "kind": "ring",
-            "zeros": [{"re": 0.0, "im": 0.0, "mult": 1}],
-            "poles": [{"re": 1.000001, "im": 0.0, "mult": 2}],
-        }
-        inp = write_descriptor(tmp_path, bad)
-        rc = cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "slow")])
-        assert rc == 2
+    def test_slow_coefficient_decay_exits_2(self, tmp_path, capsys):
+        # a pole hugging the unit circle: the coefficient tail cannot be truncated;
+        # a pole at 1e300: the squares of the Taylor coefficients (mult 1) or the
+        # coefficients themselves (mult 2) underflow
+        for pole in ({"re": 1.000001, "im": 0.0, "mult": 2}, {"re": 1e300, "im": 0.0, "mult": 1},
+                     {"re": 1e300, "im": 0.0, "mult": 2}):
+            bad = {"kind": "ring", "zeros": [{"re": 0.0, "im": 0.0, "mult": 1}], "poles": [pole]}
+            inp = write_descriptor(tmp_path, bad)
+            rc = cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "slow")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("numerical failure:")
 
     @pytest.mark.parametrize("payload", [EXAMPLE_ONE, EXAMPLE_THREE], ids=["line", "ring"])
     def test_spectrum_built_once(self, tmp_path, monkeypatch, payload):
@@ -252,13 +253,28 @@ def test_figure_four_matches_design(tmp_path):
         ("analyze", {**EXAMPLE_THREE, "period": None}),
         ("design", {**DESIGN_M8_B3PI, "profile": {"coeffs": [1.0]}}),
         ("design", {**DESIGN_M8_B3PI, "profile": {"kind": "exp", "kappa": None}}),
+        ("design", {**DESIGN_M8_B3PI, "m": 8.9}),
+        ("design", {**DESIGN_M8_B3PI, "m": math.inf}),
+        ("analyze", {**EXAMPLE_ONE, "poles": [{"re": 0.0, "im": -1.0, "mult": 2.7}]}),
+        ("analyze", {**EXAMPLE_ONE, "zeros": [{"re": 0.0, "im": -0.25, "mult": True}]}),
+        ("analyze", {**EXAMPLE_ONE, "poles": [{"re": 0.0, "im": -1.0, "mult": 1e400}]}),
     ],
-    ids=["array", "zeros-number", "period-null", "coeff-number", "kappa-null"],
+    ids=["array", "zeros-number", "period-null", "coeff-number", "kappa-null",
+         "m-fraction", "m-infinite", "mult-fraction", "mult-bool", "mult-overflow"],
 )
 def test_malformed_descriptor_exits_1(tmp_path, capsys, command, payload):
     args = ["--input", write_descriptor(tmp_path, payload), "--output", str(tmp_path / "out")]
     assert cli.main([command, *args]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_integral_float_multiplicity_is_valid(tmp_path):
+    as_float = {**EXAMPLE_ONE, "poles": [{"re": 0.0, "im": -1.0, "mult": 2.0}]}
+    for name, payload in (("float", as_float), ("int", EXAMPLE_ONE)):
+        inp = write_descriptor(tmp_path, payload, f"{name}.json")
+        assert cli.main(["analyze", "--input", inp, "--output", str(tmp_path / name)]) == 0
+    for suffix in ("_field.csv", "_spectrum.csv", "_report.json"):
+        assert (tmp_path / f"float{suffix}").read_bytes() == (tmp_path / f"int{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])

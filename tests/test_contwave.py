@@ -57,6 +57,16 @@ class TestConstruction:
         with pytest.raises(SpecViolation):
             cw.make_line_wavefunction(cw.RationalSpec(poles=(cw.Root(1j),)))
 
+    @pytest.mark.parametrize("mult", [2.5, True, math.inf, math.nan, "2"])
+    def test_non_integral_multiplicity_rejected(self, mult):
+        with pytest.raises(SpecViolation, match="pole multiplicity must be an integer"):
+            cw.RationalSpec(poles=(cw.Root(-1j, mult),))
+
+    @pytest.mark.parametrize("mult", [2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_multiplicity_kept(self, mult):
+        (pole,) = cw.RationalSpec(poles=(cw.Root(-1j, mult),)).poles
+        assert type(pole.multiplicity) is int and pole.multiplicity == 2
+
     def test_duplicate_roots_merge(self):
         spec = cw.RationalSpec(poles=(cw.Root(-1j), cw.Root(-1j + 1e-12)))
         assert len(spec.poles) == 1
