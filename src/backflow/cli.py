@@ -9,9 +9,11 @@ Subcommands:
   verify   run the oracle cross-check suite against a descriptor
 
 Descriptors are JSON with explicit re/im fields (no complex literals).
-CSV output is UTF-8, LF line endings, 17 significant digits, written
-atomically (temp file + rename). Exit codes: 0 success, 1 invalid
-descriptor/arguments, 2 numerical failure, 3 verification failure.
+CSV output is UTF-8, LF line endings, 17 significant digits ("%.17g").
+A report is exactly json.dumps(payload, indent=2, sort_keys=True) plus a
+newline. Both are written atomically (temp file + rename). Exit codes: 0
+success, 1 invalid descriptor/arguments, 2 numerical failure, 3
+verification failure.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .polyring import horner
 DEFAULT_SAMPLES = 2001
 DEFAULT_LINE_RANGE = (-5.0, 5.0)
 DEFAULT_P_MAX = 10.0
+# CSV rows or JSON list entries formatted per % call: few calls, and a bounded chunk each
+BLOCK = 512
 # verify holds the quadrature's |psi|^2 integral to 1 this closely, whatever --tol
 NORM_BOUND = 1e-8
 
@@ -63,10 +67,14 @@ def _read_json_object(path: str) -> dict:
 
 
 def _number(value, label: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecViolation(f"{label} must be a number, got {value!r}") from exc
+    """value as a float if it is an int or a float; a bool, a string or an int past the float range
+    is invalid."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SpecViolation(f"{label} must be a number, got {value!r}")
 
 
 def _complex_entries(items, label: str) -> list[tuple[complex, dict]]:
@@ -152,8 +160,10 @@ def _atomic_write(path: str, chunks) -> None:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(col, float).tolist() for col in columns))
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], (row % r for r in rows)))
+    table = np.column_stack([np.asarray(col, float) for col in columns])
+    blocks = (table[i : i + BLOCK] for i in range(0, len(table), BLOCK))
+    lines = (row * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def _jsonable(v):
@@ -162,9 +172,42 @@ def _jsonable(v):
     return v
 
 
+def _flat_records(value) -> tuple[list[str], list] | None:
+    """(sorted keys, each entry's values in their order) of a list of dicts with the same str keys and
+    only exact ints and finite floats as values, whose %r is the text json writes; else None."""
+    keys = sorted(value[0]) if type(value) is list and value and type(value[0]) is dict else []
+    if not keys or {*map(type, value)} != {dict} or {*map(len, value)} != {len(keys)}:
+        return None
+    values = [entry.get(key) for entry in value for key in keys]  # None where a key is missing
+    numeric = all(type(v) is int or type(v) is float and math.isfinite(v) for v in values)
+    return (keys, values) if numeric and all(type(key) is str for key in keys) else None
+
+
+def _json_chunks(value, depth: int = 0):
+    """json.dumps(value, indent=2, sort_keys=True), nested depth levels deep, in chunks: _flat_records
+    go out by one % template per BLOCK entries, other lists and str-keyed dicts entry by entry, and the
+    rest by json.dumps, re-indented."""
+    pad, records = "\n" + "  " * depth, _flat_records(value)
+    if records:
+        keys, values = records
+        fields = ",".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %r" for key in keys)
+        entry = f",{pad}  {{{fields}{pad}  }}"
+        for start in range(0, len(values), BLOCK * len(keys)):
+            block = values[start : start + BLOCK * len(keys)]
+            yield ("," if start else "[") + (entry * (len(block) // len(keys)))[1:] % tuple(block)
+        yield pad + "]"
+    elif value and (type(value) is list or type(value) is dict and all(type(key) is str for key in value)):
+        keyed = type(value) is dict
+        for i, key in enumerate(sorted(value) if keyed else range(len(value))):
+            yield ("," if i else "{" if keyed else "[") + f"{pad}  " + (f"{json.dumps(key)}: " if keyed else "")
+            yield from _json_chunks(value[key], depth + 1)
+        yield pad + ("}" if keyed else "]")
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def write_json(path: str, payload: dict) -> None:
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    _atomic_write(path, itertools.chain(encoder.iterencode(payload), ["\n"]))
+    _atomic_write(path, itertools.chain(_json_chunks(payload), ["\n"]))
 
 
 def backflow_report_json(report: cw.BackflowReport) -> dict:

@@ -27,8 +27,10 @@ its inverse, currents in the corresponding frequency.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -105,6 +107,20 @@ class RationalSpec:
                     )
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "poles", poles)
+
+    @cached_property
+    def root_columns(self) -> tuple[np.ndarray, ...]:
+        """Per root, zeros first, as columns for the leading root axis of k: position, its real and
+        imaginary parts, modulus and phase (Python's abs and cmath.phase, which numpy's complex abs
+        and angle can miss by an ulp), multiplicity (+ for a zero, - for a pole) and the squared
+        distance below which k is undefined (1e-24 at a zero, none at a pole)."""
+        roots = self.zeros + self.poles
+        z = [r.position for r in roots]
+        zero = np.arange(len(roots)) < len(self.zeros)
+        mult = np.array([r.multiplicity for r in roots], float)
+        columns = (z, [p.real for p in z], [p.imag for p in z], [abs(p) for p in z], [cmath.phase(p) for p in z],
+                   np.where(zero, mult, -mult), np.where(zero, 1e-24, 0.0))
+        return tuple(np.array(c)[:, None] for c in columns)
 
     @property
     def m(self) -> int:
@@ -293,9 +309,10 @@ def _as_given(x, value, undefined: str | None = None):
     Python float or complex (a NaN, where psi has no phase, raises SingularPoint if `undefined`)."""
     if np.ndim(x):
         return value
-    if undefined and np.isnan(value[0]):
+    value = value[0].item()
+    if undefined and math.isnan(value):
         raise SingularPoint(f"{undefined} x={x}")
-    return value[0].item()
+    return value
 
 
 def _current(psi, k):
@@ -310,16 +327,16 @@ def local_wavenumber(wf: LineWaveFunction, x):
     Im(a)/|x-a|^2 per unit multiplicity, poles the negative of that.
     Undefined closer than 1e-12 to a real zero: SingularPoint for a scalar,
     NaN in an array (which the sum carries on without a division warning)."""
-    xs = np.array(x, float, ndmin=1)
-    total = 0.0
-    for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
-        for r in roots:
-            u, v = r.position.real, r.position.imag
-            d2 = (xs - u) ** 2 + v * v
-            if sign > 0:
-                d2 = np.where(d2 < 1e-24, np.nan, d2)
-            total = total + sign * r.multiplicity * v / d2
-    return _as_given(x, total, undefined="local wave number undefined at the real zero")
+    _, u, v, _, _, mult, singular = wf.spec.root_columns
+    d2 = (np.array(x, float, ndmin=1) - u) ** 2 + v * v
+    terms = mult * v / np.where(d2 < singular, np.nan, d2)
+    return _as_given(x, _root_sum(terms), undefined="local wave number undefined at the real zero")
+
+
+def _root_sum(terms):
+    """Sum over the leading root axis, in root order whatever the number of points (a
+    reduction over one point would sum pairwise), so a scalar call equals an array call."""
+    return np.add.accumulate(terms)[-1]
 
 
 def probability_current(wf: LineWaveFunction, x):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .contwave import BackflowReport, RationalSpec, _Chart, _as_given, _circle_report, _current
+from .contwave import BackflowReport, RationalSpec, _Chart, _as_given, _circle_report, _current, _root_sum
 from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
 from .polyring import poly_from_roots, rational_series
 
@@ -139,17 +139,11 @@ def ring_wavenumber(wf: RingWaveFunction, x):
     1 - |r| cos(...) has the right sign. Undefined closer than 1e-12 to a
     circle zero: SingularPoint for a scalar, NaN in an array."""
     theta = 2 * math.pi * np.array(x, float, ndmin=1) / wf.period
-    w = np.exp(1j * theta)
-    total = 0.0
-    for sign, roots in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
-        for r in roots:
-            pos = r.position
-            d2 = abs(w - pos) ** 2
-            if sign > 0:
-                d2 = np.where(d2 < 1e-24, np.nan, d2)
-            num = 1.0 - abs(pos) * np.cos(theta - cmath.phase(pos))
-            total = total + sign * r.multiplicity * num / d2
-    return _as_given(x, (2 * math.pi / wf.period) * total, undefined="wave number undefined at the circle zero")
+    pos, _, _, rho, phi, mult, singular = wf.spec.root_columns
+    d2 = abs(np.exp(1j * theta) - pos) ** 2
+    terms = mult * (1.0 - rho * np.cos(theta - phi)) / np.where(d2 < singular, np.nan, d2)
+    k = (2 * math.pi / wf.period) * _root_sum(terms)
+    return _as_given(x, k, undefined="wave number undefined at the circle zero")
 
 
 def ring_current(wf: RingWaveFunction, x):

@@ -258,9 +258,16 @@ def test_figure_four_matches_design(tmp_path):
         ("analyze", {**EXAMPLE_ONE, "poles": [{"re": 0.0, "im": -1.0, "mult": 2.7}]}),
         ("analyze", {**EXAMPLE_ONE, "zeros": [{"re": 0.0, "im": -0.25, "mult": True}]}),
         ("analyze", {**EXAMPLE_ONE, "poles": [{"re": 0.0, "im": -1.0, "mult": 1e400}]}),
+        ("analyze", {**EXAMPLE_THREE, "period": "2.5"}),
+        ("analyze", {**EXAMPLE_THREE, "period": True}),
+        ("analyze", {**EXAMPLE_THREE, "period": 10**400}),
+        ("analyze", {**EXAMPLE_ONE, "zeros": [{"re": 0.0, "im": "-0.25"}]}),
+        ("design", {**DESIGN_M8_B3PI, "x0": 10**400}),
+        ("design", {**DESIGN_M8_B3PI, "profile": {"kind": "exp", "kappa": False}}),
     ],
     ids=["array", "zeros-number", "period-null", "coeff-number", "kappa-null",
-         "m-fraction", "m-infinite", "mult-fraction", "mult-bool", "mult-overflow"],
+         "m-fraction", "m-infinite", "mult-fraction", "mult-bool", "mult-overflow",
+         "period-string", "period-bool", "period-overflow", "im-string", "x0-overflow", "kappa-bool"],
 )
 def test_malformed_descriptor_exits_1(tmp_path, capsys, command, payload):
     args = ["--input", write_descriptor(tmp_path, payload), "--output", str(tmp_path / "out")]
