@@ -34,7 +34,7 @@ from .errors import (
     TruncationFailure,
     ZeroLeadingDenominator,
 )
-from .oracle import QuadratureResult, fourier_quadrature, norm_quadrature, phase_gradient_fd
+from .oracle import QuadratureResult, fourier_quadrature, norm_quadrature, phase_gradient_fd, single_pole_reference_norm
 from .padegen import (
     DesignReport,
     PadeProblem,
@@ -51,7 +51,6 @@ from .ringwave import (
     ring_current,
     ring_spectrum,
     ring_wavenumber,
-    single_pole_reference_norm,
 )
 
 __all__ = [

@@ -6,7 +6,8 @@ Subcommands:
   figure   emit the datasets behind the four reference figures: figures 1-3
            are analyze on built-in states, figure 4 is design on two
            built-in problems
-  verify   run the oracle cross-check suite against a descriptor
+  verify   build a descriptor's state and print the oracle's cross-check rows
+           (oracle.verify_line / verify_ring), one PASS or FAIL line each
 
 Descriptors are JSON with explicit re/im fields (no complex literals).
 CSV output is UTF-8, LF line endings, 17 significant digits ("%.17g").
@@ -26,6 +27,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from . import contwave as cw
 from . import oracle
 from . import padegen as pg
 from . import ringwave as rw
-from .errors import BackflowError, SingularPoint, SpecViolation
+from .errors import BackflowError, SpecViolation
 from .polyring import horner
 
 DEFAULT_SAMPLES = 2001
@@ -41,8 +43,6 @@ DEFAULT_LINE_RANGE = (-5.0, 5.0)
 DEFAULT_P_MAX = 10.0
 # CSV rows or JSON list entries formatted per % call: few calls, and a bounded chunk each
 BLOCK = 512
-# verify holds the quadrature's |psi|^2 integral to 1 this closely, whatever --tol
-NORM_BOUND = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -399,99 +399,17 @@ def _figure_designs(prefix: str, samples: int) -> int:
     return 0
 
 
-def _verify_line(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = []
-
-    sp = cw.momentum_spectrum(wf)
-    peak = float(np.max(np.abs(cw.eval_spectrum(sp, np.linspace(0.05, 10, 120)))))
-    worst_neg = max(
-        abs(oracle.fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value)
-        for p in (-0.4, -1.1, -2.6, -5.3, -8.7)
-    )
-    checks.append(
-        ("spectrum_vanishes_for_p<0", worst_neg <= tol * peak, f"max |spectrum| = {worst_neg:.3e} vs peak {peak:.3e}")
-    )
-
-    ps = (0.3, 0.9, 1.7, 3.1, 6.3)
-    refs = [oracle.fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value for p in ps]
-    worst = float(np.max(np.abs(cw.eval_spectrum(sp, ps) - refs)))
-    checks.append(
-        ("residue_spectrum_matches_quadrature", worst <= tol * max(1.0, peak), f"max deviation = {worst:.3e}")
-    )
-
-    xs = np.random.default_rng(20240901).uniform(-4, 4, 25)
-    checks.append(_phase_gradient_check(wf, cw.local_wavenumber(wf, xs), xs, 1e-5))
-    return checks
-
-
-def _phase_gradient_check(wf, ks, xs, h: float) -> tuple[str, bool, str]:
-    """Largest |k - fd| over xs, skipping points where either is undefined."""
-    worst = 0.0
-    for x, k in zip(xs.tolist(), ks.tolist()):
-        if math.isnan(k):
-            continue
-        try:
-            fd = oracle.phase_gradient_fd(wf, x, h)
-        except SingularPoint:
-            continue
-        worst = max(worst, abs(k - fd))
-    return ("phase_gradient_consistency", worst <= 1e-4, f"max |k - fd| = {worst:.3e} (fd floor 1e-4)")
-
-
-def _verify_ring(wf, tol: float) -> list[tuple[str, bool, str]]:
-    checks = []
-
-    sp = rw.ring_spectrum(wf)
-    L = wf.period
-    M = 4096
-    x = np.arange(M) * (L / M) - L / 2
-    vals = wf(x)
-    parseval = sum(abs(c) ** 2 for c in sp.coeffs)
-    checks.append(("parseval", abs(parseval - 1) <= 1e-10, f"sum |c_k|^2 = {parseval:.12g}"))
-
-    def dft(k):
-        return complex(np.sum(vals * np.exp(-2j * np.pi * k * x / L)) * (L / M) / math.sqrt(L))
-
-    worst_neg = max(abs(dft(k)) for k in range(-20, 1))
-    checks.append(("spectrum_vanishes_for_k<=0", worst_neg <= tol, f"max |c_k| = {worst_neg:.3e}"))
-
-    worst = max(
-        abs(sp.coefficient(k) - dft(k)) for k in range(1, min(len(sp.coeffs), 50) + 1)
-    )
-    checks.append(("taylor_coefficients_match_dft", worst <= max(tol, 1e-8), f"max deviation = {worst:.3e}"))
-
-    xs = np.random.default_rng(20240902).uniform(0, L, 25)
-    checks.append(_phase_gradient_check(wf, rw.ring_wavenumber(wf, xs), xs, 1e-6 * L))
-
-    # single pole on the positive real axis plus the origin zero: compare the
-    # Parseval normalization with the closed-form reference integral
-    if (
-        len(wf.spec.poles) == 1
-        and abs(wf.spec.poles[0].position.imag) < 1e-12
-        and wf.spec.poles[0].position.real > 1
-        and len(wf.spec.zeros) == 1
-    ):
-        a = wf.spec.poles[0].position.real
-        n = wf.spec.poles[0].multiplicity
-        ref = rw.single_pole_reference_norm(a, n)
-        rel = abs(wf.norm_constant - ref) / ref
-        checks.append(
-            ("reference_normalization", rel <= max(tol, 1e-6), f"relative deviation = {rel:.3e}")
-        )
-    return checks
-
-
 def cmd_verify(input_path: str, tol: float = 1e-6) -> int:
     descriptor = parse_descriptor(_read_json_object(input_path))
     wf = build_wavefunction(descriptor)
-    total = oracle.norm_quadrature(wf, descriptor.kind, 1e-10).value.real
-    checks = [("normalization", abs(total - 1) <= NORM_BOUND, f"|psi|^2 integral = {total:.12g}")]
-    checks += _verify_line(wf, tol) if descriptor.kind == "line" else _verify_ring(wf, tol)
-    all_ok = True
+    if descriptor.kind == "line":
+        spectrum = partial(cw.eval_spectrum, cw.momentum_spectrum(wf))
+        checks = oracle.verify_line(wf, spectrum, partial(cw.local_wavenumber, wf), tol)
+    else:
+        checks = oracle.verify_ring(wf, rw.ring_spectrum(wf).coeffs, partial(rw.ring_wavenumber, wf), tol)
     for name, ok, detail in checks:
-        all_ok &= ok
         print(f"{name:<38} {'PASS' if ok else 'FAIL'}  {detail}")
-    return 0 if all_ok else 3
+    return 0 if all(ok for _, ok, _ in checks) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +469,8 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return cmd_figure(args.figure, args.output, args.samples)
         if args.command == "verify":
+            if not 0 < args.tol < math.inf:
+                raise SpecViolation(f"--tol must be positive and finite, got {args.tol}")
             return cmd_verify(args.input, args.tol)
         raise AssertionError(f"unhandled command {args.command}")
     except (SpecViolation, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -169,19 +169,6 @@ class LineWaveFunction:
     def __call__(self, x):
         return eval_psi(self, x)
 
-    @property
-    def decay_exponent(self) -> int:
-        return self.spec.n - self.spec.m
-
-    @property
-    def root_positions(self) -> tuple[complex, ...]:
-        return tuple(r.position for r in self.spec.zeros + self.spec.poles)
-
-    @property
-    def asymptotic_coefficient(self) -> complex:
-        """lim x^(n-m) * psi(x): the constant in the algebraic tail."""
-        return self.norm_constant * self.phase
-
 
 @dataclass(frozen=True)
 class SpectrumTerm:
@@ -267,10 +254,9 @@ def _chart_norm_integral(spec: RationalSpec) -> float:
 
 
 def eval_psi(wf: LineWaveFunction, x):
-    """psi at real x (scalar or array); finite everywhere since poles are off-axis."""
-    z = x + 0j if np.isscalar(x) else np.asarray(x, float) + 0j
-    num, den = wf.spec.products(z)
-    return wf.norm_constant * wf.phase * num / den
+    """psi at real x, a scalar or an array; finite everywhere since poles are off-axis."""
+    num, den = wf.spec.products(np.array(x, float, ndmin=1) + 0j)
+    return _as_given(x, wf.norm_constant * wf.phase * num / den)
 
 
 def momentum_spectrum(wf: LineWaveFunction) -> MomentumSpectrumLine:

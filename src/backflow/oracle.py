@@ -1,11 +1,13 @@
-"""Numerical ground truth: quadrature and finite differences.
+"""Numerical ground truth: quadrature, finite differences and the verify suite.
 
-Nothing here knows about the residue/Taylor machinery used elsewhere; wave
-functions are treated as black-box callables (plus a little metadata: root
-positions, decay exponent, period). Fourier integrals over the real line are
-split into two semi-axes and handed to QUADPACK's Fourier-weight routine,
-which extrapolates over oscillation cycles; that replaces naive subdivision
-at the oscillation zeros, which cannot cope with slowly decaying tails.
+Nothing here knows the residue/Taylor machinery or imports an analytic module.
+A line state's psi is evaluated here from its root data (_psi); a ring (a state
+with a `period`) or any other callable is called as it is. Fourier integrals
+over the real line are split into two semi-axes and handed to QUADPACK's
+Fourier-weight routine, which extrapolates over oscillation cycles; that
+replaces naive subdivision at the oscillation zeros, which cannot cope with
+slowly decaying tails. `verify_line` and `verify_ring` hold the library's
+values, passed in as functions, against these and return `backflow verify`'s rows.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .errors import QuadratureFailure, SingularPoint
 
 _HALF_PI = math.pi / 2
 _SQRT_2PI = math.sqrt(2 * math.pi)
+# verify holds the quadrature's |psi|^2 integral to 1 this closely, whatever --tol
+NORM_BOUND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,26 @@ class _Counted:
     def __call__(self, x):
         self.count += 1
         return self.func(x)
+
+
+def _psi(wf):
+    """psi of wf at one float: for a line state N * phase * prod (x-a)^m / prod (x-b)^n in plain Python,
+    since the quadratures call it ~10^4 times and numpy costs ~20x per point; else wf as it is."""
+    if hasattr(wf, "period") or not hasattr(wf, "spec"):
+        return wf
+    zeros = [(r.position, r.multiplicity) for r in wf.spec.zeros]
+    poles = [(r.position, r.multiplicity) for r in wf.spec.poles]
+    scale = wf.norm_constant * wf.phase
+
+    def psi(x):
+        z, num, den = x + 0j, 1.0 + 0j, 1.0 + 0j
+        for a, m in zeros:
+            num = num * (z - a) ** m
+        for b, n in poles:
+            den = den * (z - b) ** n
+        return scale * num / den
+
+    return psi
 
 
 def _quad(func, a, b, *, points=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=250):
@@ -101,13 +125,13 @@ def fourier_quadrature(wf, p: float, tol: float = 1e-8) -> QuadratureResult:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    counted = _Counted(wf)
+    counted = _Counted(_psi(wf))
     tol_raw = tol * _SQRT_2PI
-    breaks = [complex(r).real for r in wf.root_positions]
+    breaks = [r.position.real for r in wf.spec.zeros + wf.spec.poles]
 
     if p == 0:
-        if wf.decay_exponent == 1:
-            asym = wf.asymptotic_coefficient
+        if wf.spec.n - wf.spec.m == 1:
+            asym = wf.norm_constant * wf.phase  # lim x psi(x)
 
             def g(x):
                 return counted(x) - asym * x / (x * x + 1.0)
@@ -137,8 +161,9 @@ def phase_gradient_fd(wf, x: float, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    vp = complex(wf(x + h))
-    vm = complex(wf(x - h))
+    psi = _psi(wf)
+    vp = complex(psi(x + h))
+    vm = complex(psi(x - h))
     if abs(vp) == 0.0 or abs(vm) == 0.0:
         raise SingularPoint(f"wave function vanishes within h of x={x}")
     d = cmath.phase(vp) - cmath.phase(vm)
@@ -153,28 +178,12 @@ def phase_gradient_fd(wf, x: float, h: float = 1e-5) -> float:
     return d / (2 * h)
 
 
-def norm_quadrature(wf, domain: str = "line", tol: float = 1e-10) -> QuadratureResult:
-    """integral of |psi|^2 over the line (tan-substituted adaptive quadrature)
-    or over one period (trapezoid sums with doubling)."""
+def norm_quadrature(wf, tol: float = 1e-10) -> QuadratureResult:
+    """integral of |psi|^2 over one period of a ring state (trapezoid sums with
+    doubling), else over the line (tan-substituted adaptive quadrature)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if domain == "line":
-        counted = _Counted(wf)
-
-        def g(t):
-            x = math.tan(t)
-            v = counted(x)
-            return (v.real * v.real + v.imag * v.imag) * (1.0 + x * x)
-
-        pts = sorted({math.atan(complex(r).real) for r in wf.root_positions})
-        val, err, ok = _quad(g, -_HALF_PI, _HALF_PI, points=pts, epsabs=0.0, epsrel=0.1 * tol)
-        if err > tol * abs(val):
-            raise QuadratureFailure(
-                f"norm quadrature error {err:.3e} exceeds {tol:.1e} relative"
-            )
-        return QuadratureResult(complex(val), err, counted.count)
-
-    if domain == "ring":
+    if hasattr(wf, "period"):
         L = wf.period
         m = 256
         prev = None
@@ -190,4 +199,123 @@ def norm_quadrature(wf, domain: str = "line", tol: float = 1e-10) -> QuadratureR
             m *= 2
         raise QuadratureFailure("period trapezoid did not converge before the cap")
 
-    raise ValueError(f"unknown domain {domain!r}")
+    counted = _Counted(_psi(wf))
+
+    def g(t):
+        x = math.tan(t)
+        v = counted(x)
+        return (v.real * v.real + v.imag * v.imag) * (1.0 + x * x)
+
+    pts = sorted({math.atan(r.position.real) for r in wf.spec.zeros + wf.spec.poles})
+    val, err, ok = _quad(g, -_HALF_PI, _HALF_PI, points=pts, epsabs=0.0, epsrel=0.1 * tol)
+    if err > tol * abs(val):
+        raise QuadratureFailure(
+            f"norm quadrature error {err:.3e} exceeds {tol:.1e} relative"
+        )
+    return QuadratureResult(complex(val), err, counted.count)
+
+
+def single_pole_reference_norm(a: float, n: int) -> float:
+    """Closed-form normalization for f(z) = z/(z-a)^n with real a > 1:
+    N = (a-1)^n sqrt(pi / (2 c I)), c = (a-1)/(a+1),
+    I = integral_0^inf (1 + c^2 t^2)^(n-1) / (1 + t^2)^n dt.
+
+    Serves as an independent cross-check of the Parseval normalization."""
+    if not (a > 1):
+        raise ValueError("requires a > 1")
+    c = (a - 1.0) / (a + 1.0)
+    val, err = integrate.quad(
+        lambda t: (1 + c * c * t * t) ** (n - 1) / (1 + t * t) ** n,
+        0.0,
+        np.inf,
+        epsabs=1e-13,
+        epsrel=1e-12,
+    )
+    if err > 1e-9 * abs(val):
+        raise QuadratureFailure(f"reference integral error {err:.2e}")
+    return (a - 1.0) ** n * math.sqrt(math.pi / (2 * c * val))
+
+
+def _normalization_check(wf) -> tuple[str, bool, str]:
+    total = norm_quadrature(wf, 1e-10).value.real
+    return ("normalization", abs(total - 1) <= NORM_BOUND, f"|psi|^2 integral = {total:.12g}")
+
+
+def verify_line(wf, spectrum, wavenumber, tol: float) -> list[tuple[str, bool, str]]:
+    """Rows for a line state: its norm, and its spectrum(p) and k = wavenumber(x), on arrays, against quadrature."""
+    checks = [_normalization_check(wf)]
+
+    peak = float(np.max(np.abs(spectrum(np.linspace(0.05, 10, 120)))))
+    worst_neg = max(
+        abs(fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value)
+        for p in (-0.4, -1.1, -2.6, -5.3, -8.7)
+    )
+    checks.append(
+        ("spectrum_vanishes_for_p<0", worst_neg <= tol * peak, f"max |spectrum| = {worst_neg:.3e} vs peak {peak:.3e}")
+    )
+
+    ps = (0.3, 0.9, 1.7, 3.1, 6.3)
+    refs = [fourier_quadrature(wf, p, tol=min(tol, 1e-8)).value for p in ps]
+    worst = float(np.max(np.abs(spectrum(ps) - refs)))
+    checks.append(
+        ("residue_spectrum_matches_quadrature", worst <= tol * max(1.0, peak), f"max deviation = {worst:.3e}")
+    )
+
+    xs = np.random.default_rng(20240901).uniform(-4, 4, 25)
+    checks.append(_phase_gradient_check(wf, wavenumber(xs), xs, 1e-5))
+    return checks
+
+
+def _phase_gradient_check(wf, ks, xs, h: float) -> tuple[str, bool, str]:
+    """Largest |k - fd| over xs, skipping points where either is undefined."""
+    worst = 0.0
+    for x, k in zip(xs.tolist(), ks.tolist()):
+        if math.isnan(k):
+            continue
+        try:
+            fd = phase_gradient_fd(wf, x, h)
+        except SingularPoint:
+            continue
+        worst = max(worst, abs(k - fd))
+    return ("phase_gradient_consistency", worst <= 1e-4, f"max |k - fd| = {worst:.3e} (fd floor 1e-4)")
+
+
+def verify_ring(wf, coeffs, wavenumber, tol: float) -> list[tuple[str, bool, str]]:
+    """Rows for a ring state: its norm, and its coeffs (c_1, c_2, ...) and k = wavenumber(x) against quadrature."""
+    checks = [_normalization_check(wf)]
+
+    L = wf.period
+    M = 4096
+    x = np.arange(M) * (L / M) - L / 2
+    vals = wf(x)
+    parseval = sum(abs(c) ** 2 for c in coeffs)
+    checks.append(("parseval", abs(parseval - 1) <= 1e-10, f"sum |c_k|^2 = {parseval:.12g}"))
+
+    def dft(k):
+        return complex(np.sum(vals * np.exp(-2j * np.pi * k * x / L)) * (L / M) / math.sqrt(L))
+
+    worst_neg = max(abs(dft(k)) for k in range(-20, 1))
+    checks.append(("spectrum_vanishes_for_k<=0", worst_neg <= tol, f"max |c_k| = {worst_neg:.3e}"))
+
+    worst = max(abs(coeffs[k - 1] - dft(k)) for k in range(1, min(len(coeffs), 50) + 1))
+    checks.append(("taylor_coefficients_match_dft", worst <= max(tol, 1e-8), f"max deviation = {worst:.3e}"))
+
+    xs = np.random.default_rng(20240902).uniform(0, L, 25)
+    checks.append(_phase_gradient_check(wf, wavenumber(xs), xs, 1e-6 * L))
+
+    # single pole on the positive real axis plus the origin zero: compare the
+    # Parseval normalization with the closed-form reference integral
+    if (
+        len(wf.spec.poles) == 1
+        and abs(wf.spec.poles[0].position.imag) < 1e-12
+        and wf.spec.poles[0].position.real > 1
+        and len(wf.spec.zeros) == 1
+    ):
+        a = wf.spec.poles[0].position.real
+        n = wf.spec.poles[0].multiplicity
+        ref = single_pole_reference_norm(a, n)
+        rel = abs(wf.norm_constant - ref) / ref
+        checks.append(
+            ("reference_normalization", rel <= max(tol, 1e-6), f"relative deviation = {rel:.3e}")
+        )
+    return checks

@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .contwave import BackflowReport, RationalSpec, _Chart, _as_given, _circle_report, _current, _root_sum
-from .errors import QuadratureFailure, SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
+from .errors import SingularPoint, SpecViolation, TruncationFailure  # noqa: F401 (re-exported)
 from .polyring import poly_from_roots, rational_series
 
 TAIL_REL = 1e-16
@@ -179,23 +178,3 @@ def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
     chart = _Chart(c0, roots, zeros, turn, lambda t: np.mod(t, 2 * math.pi) / lam, wf.period)
     return _circle_report(wf, chart, ring_wavenumber, ring_current)
 
-
-def single_pole_reference_norm(a: float, n: int) -> float:
-    """Closed-form normalization for f(z) = z/(z-a)^n with real a > 1:
-    N = (a-1)^n sqrt(pi / (2 c I)), c = (a-1)/(a+1),
-    I = integral_0^inf (1 + c^2 t^2)^(n-1) / (1 + t^2)^n dt.
-
-    Serves as an independent cross-check of the Parseval normalization."""
-    if not (a > 1):
-        raise ValueError("requires a > 1")
-    c = (a - 1.0) / (a + 1.0)
-    val, err = integrate.quad(
-        lambda t: (1 + c * c * t * t) ** (n - 1) / (1 + t * t) ** n,
-        0.0,
-        np.inf,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    if err > 1e-9 * abs(val):
-        raise QuadratureFailure(f"reference integral error {err:.2e}")
-    return (a - 1.0) ** n * math.sqrt(math.pi / (2 * c * val))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,9 +151,7 @@ class TestAnalyze:
         assert cli.main(["analyze", "--input", inp, "--output", out1]) == 0
         assert cli.main(["analyze", "--input", inp, "--output", out2]) == 0
         for suffix in ("_field.csv", "_spectrum.csv", "_report.json"):
-            b1 = open(f"{out1}{suffix}", "rb").read()
-            b2 = open(f"{out2}{suffix}", "rb").read()
-            assert b1 == b2
+            assert Path(f"{out1}{suffix}").read_bytes() == Path(f"{out2}{suffix}").read_bytes()
 
 
 class TestDesign:
@@ -323,6 +322,30 @@ class TestVerify:
         assert rc == 0
         assert "reference_normalization" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("payload", [EXAMPLE_ONE, EXAMPLE_THREE], ids=["line", "ring"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, payload, tol):
+        # exit 1 on both geometries, before any check runs: not 3 (a check failing at a tol of 0 or NaN)
+        # and not 0 (every tol-relative check passing at inf)
+        rc = cli.main(["verify", "--input", write_descriptor(tmp_path, payload), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "" and "--tol" in captured.err
+
+    def test_example_one_runs_without_the_library_psi(self, tmp_path, capsys, monkeypatch):
+        # the oracle evaluates a line state's psi from its root data, so a broken library psi
+        # cannot hide from the check
+        inp = write_descriptor(tmp_path, EXAMPLE_ONE)
+        assert cli.main(["verify", "--input", inp]) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(self, x):
+            raise AssertionError("verify evaluated psi through LineWaveFunction")
+
+        monkeypatch.setattr(cw.LineWaveFunction, "__call__", refuse)
+        assert cli.main(["verify", "--input", inp]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("payload", [EXAMPLE_ONE, EXAMPLE_THREE], ids=["line", "ring"])
     def test_normalization_bound_ignores_tol(self, tmp_path, capsys, monkeypatch, payload):

@@ -470,7 +470,7 @@ class TestProperties:
         rng = np.random.default_rng(11)
         for _ in range(4):
             wf = cw.make_line_wavefunction(self._random_spec(rng))
-            total = oracle.norm_quadrature(wf, "line", 1e-10).value.real
+            total = oracle.norm_quadrature(wf, 1e-10).value.real
             assert total == pytest.approx(1.0, abs=1e-8)
             sp = cw.momentum_spectrum(wf)
             peak = max(abs(cw.eval_spectrum(sp, p)) for p in np.linspace(0.05, 10, 120))

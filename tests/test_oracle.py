@@ -92,24 +92,24 @@ class TestPhaseGradient:
 class TestNormQuadrature:
     def test_normalized_state(self):
         wf = example_one()
-        got = oracle.norm_quadrature(wf, "line", 1e-10)
+        got = oracle.norm_quadrature(wf, 1e-10)
         assert got.value.real == pytest.approx(1.0, abs=1e-8)
 
     def test_unnormalized_example_one(self):
         spec = cw.RationalSpec(zeros=(cw.Root(-0.25j),), poles=(cw.Root(-1j, 2),))
         raw = cw.LineWaveFunction(spec, 1.0)
-        got = oracle.norm_quadrature(raw, "line", 1e-10)
+        got = oracle.norm_quadrature(raw, 1e-10)
         assert got.value.real == pytest.approx(math.pi * (1 + 1 / 16) / 2, rel=1e-10)
 
     def test_ring_periodic_trapezoid(self):
         spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.5 + 0j, 3),))
         wf = rw.make_ring_wavefunction(spec, 1.0)
-        got = oracle.norm_quadrature(wf, "ring", 1e-12)
+        got = oracle.norm_quadrature(wf, 1e-12)
         assert got.value.real == pytest.approx(1.0, abs=1e-10)
 
     def test_reference_integral_feeds_footnote_norm(self):
         # the closed-form ring normalization is built on this quadrature
-        ref = rw.single_pole_reference_norm(1.5, 3)
+        ref = oracle.single_pole_reference_norm(1.5, 3)
         wf = rw.make_ring_wavefunction(
             cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.5 + 0j, 3),)), 1.0
         )
@@ -140,3 +140,28 @@ def test_analytic_modules_do_not_import_the_oracle():
             if any(n.split(".")[-1] == "oracle" for n in names):
                 importers.append(f"{name}.py:{node.lineno}")
     assert importers == []
+
+
+def importers(modules, imported: set[str]) -> list[str]:
+    """module.py:line of each import statement in backflow/<module>.py that names a module in
+    `imported`, as any part of a dotted name (`from . import contwave`, `import scipy.integrate`)."""
+    package = Path(cw.__file__).parent
+    found = []
+    for name in modules:
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(set(n.split(".")) & imported for n in names):
+                    found.append(f"{name}.py:{node.lineno}")
+    return found
+
+
+def test_oracle_imports_no_analytic_module():
+    """The oracle reads states as data and evaluates a line state's psi itself, so it checks the
+    analytic modules without running their code."""
+    assert importers(["oracle"], {"contwave", "ringwave", "polyring", "padegen"}) == []
+
+
+def test_analytic_modules_do_not_import_scipy():
+    """Only the oracle integrates numerically. polyring still imports brentq for real_roots."""
+    assert importers(["contwave", "ringwave", "padegen"], {"scipy"}) == []

@@ -1,7 +1,7 @@
-"""The scalar return-type contract of the k, j and spectrum evaluators.
+"""The scalar return-type contract of the psi, k, j and spectrum evaluators.
 
 A scalar argument (a Python number or a numpy scalar) gets a Python float back,
-a complex for the spectrum; a list or an array gets an ndarray.
+a complex for psi and the spectrum; a list or an array gets an ndarray.
 """
 
 import numpy as np
@@ -16,6 +16,8 @@ RING = rw.make_ring_wavefunction(RationalSpec(zeros=(Root(0j),), poles=(Root(1.5
 SPECTRUM = cw.momentum_spectrum(LINE)
 
 EVALUATORS = {
+    "line-psi": (LINE, complex),
+    "ring-psi": (RING, complex),
     "line-k": (lambda x: cw.local_wavenumber(LINE, x), float),
     "line-j": (lambda x: cw.probability_current(LINE, x), float),
     "line-spectrum": (lambda p: cw.eval_spectrum(SPECTRUM, p), complex),

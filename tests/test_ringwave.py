@@ -42,7 +42,7 @@ class TestConstruction:
     def test_example_three_norm_matches_reference(self):
         for a, n in [(1.5, 3), (2.0, 4), (1.2, 2)]:
             wf = example_three(a, n)
-            ref = rw.single_pole_reference_norm(a, n)
+            ref = oracle.single_pole_reference_norm(a, n)
             assert wf.norm_constant == pytest.approx(ref, rel=1e-9)
 
     def test_pole_on_circle_rejected(self):
