@@ -66,15 +66,6 @@ def _psi(wf):
     return psi
 
 
-def _quad(func, a, b, *, points=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=250):
-    out = integrate.quad(
-        func, a, b, points=points, epsabs=epsabs, epsrel=epsrel, limit=limit,
-        full_output=1,
-    )
-    ok = len(out) < 4
-    return out[0], out[1], ok
-
-
 def _qawf(func, omega, kind, epsabs):
     # integral of func(x) * cos/sin(omega*x) over [0, inf), omega > 0
     out = integrate.quad(
@@ -98,21 +89,19 @@ def _semiaxis_fourier(g, omega, epsabs):
     return value, e1 + e2 + e3 + e4, ok1 and ok2 and ok3 and ok4
 
 
-def _tan_mapped_line_integral(g, real_breakpoints, epsabs):
-    """integral of complex g over the real line via x = tan(theta)."""
+def _tan_mapped_integral(f, real_breakpoints, epsabs, epsrel):
+    """integral of real f over the real line via x = tan(theta), split at the breakpoints' images:
+    (value, error estimate, converged)."""
+
+    def g(t):
+        x = math.tan(t)
+        return f(x) * (1.0 + x * x)
+
     pts = sorted({math.atan(b) for b in real_breakpoints})
-
-    def re_part(t):
-        x = math.tan(t)
-        return g(x).real * (1.0 + x * x)
-
-    def im_part(t):
-        x = math.tan(t)
-        return g(x).imag * (1.0 + x * x)
-
-    vr, er, ok1 = _quad(re_part, -_HALF_PI, _HALF_PI, points=pts, epsabs=epsabs, epsrel=1e-11)
-    vi, ei, ok2 = _quad(im_part, -_HALF_PI, _HALF_PI, points=pts, epsabs=epsabs, epsrel=1e-11)
-    return vr + 1j * vi, er + ei, ok1 and ok2
+    out = integrate.quad(
+        g, -_HALF_PI, _HALF_PI, points=pts, epsabs=epsabs, epsrel=epsrel, limit=250, full_output=1
+    )
+    return out[0], out[1], len(out) < 4
 
 
 def fourier_quadrature(wf, p: float, tol: float = 1e-8) -> QuadratureResult:
@@ -130,15 +119,14 @@ def fourier_quadrature(wf, p: float, tol: float = 1e-8) -> QuadratureResult:
     breaks = [r.position.real for r in wf.spec.zeros + wf.spec.poles]
 
     if p == 0:
+        g = counted
         if wf.spec.n - wf.spec.m == 1:
             asym = wf.norm_constant * wf.phase  # lim x psi(x)
-
-            def g(x):
-                return counted(x) - asym * x / (x * x + 1.0)
-
-            value, err, ok = _tan_mapped_line_integral(g, breaks + [0.0], tol_raw / 4)
-        else:
-            value, err, ok = _tan_mapped_line_integral(counted, breaks, tol_raw / 4)
+            g = lambda x: counted(x) - asym * x / (x * x + 1.0)
+            breaks.append(0.0)
+        vr, er, ok1 = _tan_mapped_integral(lambda x: g(x).real, breaks, tol_raw / 4, 1e-11)
+        vi, ei, ok2 = _tan_mapped_integral(lambda x: g(x).imag, breaks, tol_raw / 4, 1e-11)
+        value, err, ok = vr + 1j * vi, er + ei, ok1 and ok2
     else:
         # split at the origin; each side is a semi-axis Fourier integral
         right, e1, ok1 = _semiaxis_fourier(counted, -p, tol_raw / 8)
@@ -201,13 +189,12 @@ def norm_quadrature(wf, tol: float = 1e-10) -> QuadratureResult:
 
     counted = _Counted(_psi(wf))
 
-    def g(t):
-        x = math.tan(t)
+    def density(x):
         v = counted(x)
-        return (v.real * v.real + v.imag * v.imag) * (1.0 + x * x)
+        return v.real * v.real + v.imag * v.imag
 
-    pts = sorted({math.atan(r.position.real) for r in wf.spec.zeros + wf.spec.poles})
-    val, err, ok = _quad(g, -_HALF_PI, _HALF_PI, points=pts, epsabs=0.0, epsrel=0.1 * tol)
+    breaks = [r.position.real for r in wf.spec.zeros + wf.spec.poles]
+    val, err, ok = _tan_mapped_integral(density, breaks, 0.0, 0.1 * tol)
     if err > tol * abs(val):
         raise QuadratureFailure(
             f"norm quadrature error {err:.3e} exceeds {tol:.1e} relative"
@@ -304,7 +291,8 @@ def verify_ring(wf, coeffs, wavenumber, tol: float) -> list[tuple[str, bool, str
     checks.append(_phase_gradient_check(wf, wavenumber(xs), xs, 1e-6 * L))
 
     # single pole on the positive real axis plus the origin zero: compare the
-    # Parseval normalization with the closed-form reference integral
+    # Parseval normalization with the closed-form reference integral, which is
+    # at period 1; N scales as 1/sqrt(L)
     if (
         len(wf.spec.poles) == 1
         and abs(wf.spec.poles[0].position.imag) < 1e-12
@@ -313,7 +301,7 @@ def verify_ring(wf, coeffs, wavenumber, tol: float) -> list[tuple[str, bool, str
     ):
         a = wf.spec.poles[0].position.real
         n = wf.spec.poles[0].multiplicity
-        ref = single_pole_reference_norm(a, n)
+        ref = single_pole_reference_norm(a, n) / math.sqrt(L)
         rel = abs(wf.norm_constant - ref) / ref
         checks.append(
             ("reference_normalization", rel <= max(tol, 1e-6), f"relative deviation = {rel:.3e}")

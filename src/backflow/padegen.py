@@ -30,7 +30,7 @@ from .contwave import (
     make_line_wavefunction,
     with_phase,
 )
-from .errors import RootExtractionFailure, SpecViolation
+from .errors import BackflowError, RootExtractionFailure, SpecViolation
 from .polyring import (
     Poly,
     complex_roots,
@@ -69,8 +69,10 @@ class PadeProblem:
             raise SpecViolation(
                 f"need at least m+1={m + 1} profile coefficients, got {len(self.profile_coeffs)}"
             )
-        if not (self.half_width > 0):
-            raise SpecViolation("design interval half-width must be positive")
+        if not np.isfinite(self.profile_coeffs).all():
+            raise SpecViolation("profile coefficients must be finite")
+        if not 0 < self.half_width < math.inf:
+            raise SpecViolation("design interval half-width must be positive and finite")
         for p in self.poles:
             if complex(p.position).imag >= 0:
                 raise SpecViolation(
@@ -139,18 +141,24 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     leading = numerator.coeffs[-1]
     wf = with_phase(wf, leading)
 
-    # fidelity: compare the un-normalized rational to the profile on the interval
+    # an interval too wide for floats overflows both numbers below; that is an error, not a report
     x0 = problem.half_width
-    xs = np.linspace(-x0, x0, 2001)
-    denom_poly = poly_from_roots(problem.poles)
-    rational = poly_eval(numerator, xs + 0j) / poly_eval(denom_poly, xs + 0j)
-    profile = horner(problem.profile_coeffs, xs + 0j)
-    max_error = float(np.max(np.abs(rational - profile)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # fidelity: compare the un-normalized rational to the profile on the interval
+        xs = np.linspace(-x0, x0, 2001)
+        denom_poly = poly_from_roots(problem.poles)
+        rational = poly_eval(numerator, xs + 0j) / poly_eval(denom_poly, xs + 0j)
+        profile = horner(problem.profile_coeffs, xs + 0j)
+        max_error = float(np.max(np.abs(rational - profile)))
 
-    # amplitude price: |psi| at the critical points of |psi|^2 and the interval's ends
-    xs_crit = np.append(density_critical_points(wf), [-x0, x0])
-    amplitude = np.abs(wf(xs_crit))
-    ratio = float(amplitude.max() / amplitude[np.abs(xs_crit) <= x0].max())
+        # amplitude price: |psi| at the critical points of |psi|^2 and the interval's ends
+        xs_crit = np.append(density_critical_points(wf), [-x0, x0])
+        amplitude = np.abs(wf(xs_crit))
+        ratio = float(amplitude.max() / amplitude[np.abs(xs_crit) <= x0].max())
+    if not (math.isfinite(max_error) and math.isfinite(ratio)):
+        raise BackflowError(
+            f"design report is not finite (max_error_on_interval {max_error}, amplitude_ratio {ratio})"
+        )
     return DesignReport(wf, numerator, max_error, ratio)
 
 

@@ -6,8 +6,11 @@ arithmetic at modest degree plus truncated Taylor-series division, one linear
 pole factor at a time (rational_series gives the line's residues and the
 ring's Fourier coefficients).
 Coefficients are plain Python complex numbers in ascending powers; numpy
-handles convolutions, FFTs and the companion-matrix eigenvalue step of root
-finding, on the line and (circle_roots) on the unit circle.
+handles convolutions, FFTs and companion-matrix eigenvalues. Polynomial roots
+come one way: companion eigenvalues, each Newton-polished, sorted and
+clustered; complex_roots returns them all and real_roots the ones on the real
+axis. circle_roots finds the roots on |z| = 1 of a sampled trigonometric
+polynomial.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 
@@ -24,6 +26,8 @@ from .errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 # summed terms are round-off, and roots this close to |z| = 1 lie on it.
 CIRCLE_TAIL = 1e-13
 CIRCLE_BAND = 0.1
+# _newton_polish: the most Newton steps per root
+NEWTON_ITERS = 40
 
 
 def _strip(coeffs: Iterable[complex]) -> tuple[complex, ...]:
@@ -173,11 +177,11 @@ def _companion_eigenvalues(coeffs: Sequence[complex]) -> np.ndarray:
     return np.linalg.eigvals(mat)
 
 
-def _newton_polish(coeffs, dcoeffs, z0, top, iters=60):
+def _newton_polish(coeffs, dcoeffs, z0, top):
     """Newton iteration keeping the best residual seen, to a step below 1e-16 (1 + |z|), which
-    round-off seldom allows, or 6 steps without a new best; works on R or C. top = max |coeffs|."""
+    round-off seldom allows, or 6 steps without a new best. top = max |coeffs|."""
     z, best, best_r, stall = z0, z0, _rel_residual(coeffs, z0, top), 0
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         dz = horner(dcoeffs, z)
         if dz == 0:
             break
@@ -189,78 +193,50 @@ def _newton_polish(coeffs, dcoeffs, z0, top, iters=60):
             best, best_r = z, r
         if abs(step) <= 1e-16 * (1.0 + abs(z)) or stall == 6:
             break
-    return best, best_r
+    return best
 
 
-def real_roots(p: Poly, *, residual_tol: float = 1e-12) -> list[RealRoot]:
-    """All real roots of a real-coefficient polynomial, ascending, with multiplicity.
+def _companion_roots(coeffs: Sequence[complex]) -> list[complex]:
+    """Every root of sum(coeffs[k] z**k) with multiplicity: the companion eigenvalues, each
+    Newton-polished, in eigenvalue order."""
+    if len(coeffs) < 2:
+        raise DegreeZero("constant polynomial has no root structure")
+    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+    top = max(abs(c) for c in coeffs)
+    return [complex(_newton_polish(coeffs, dcoeffs, complex(lam), top)) for lam in _companion_eigenvalues(coeffs)]
 
-    Companion-matrix eigenvalues seed the candidates; each is polished by
-    Newton iteration plus a bracketed bisection step when a sign change is
-    available, and accepted when the relative residual drops below
-    `residual_tol`.
-    """
+
+def _cluster(values) -> list[tuple]:
+    """(value, count) for sorted values, counting a value within 1e-7 max(1, |value|) of the
+    previous entry's as a repeat of it."""
+    out: list[tuple] = []
+    for v in values:
+        if out and abs(v - out[-1][0]) <= 1e-7 * max(1.0, abs(v)):
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((v, 1))
+    return out
+
+
+def real_roots(p: Poly) -> list[RealRoot]:
+    """All real roots of a real-coefficient polynomial, ascending, with multiplicity: the
+    polished roots within 1e-4 max(1, |z|) of the axis whose real part leaves a relative
+    residual of at most 1e-12, clustered on the real parts."""
     top = max((abs(c) for c in p.coeffs), default=0.0)
     if any(abs(c.imag) > 1e-12 * top for c in p.coeffs):
         raise ValueError("real_roots requires (numerically) real coefficients")
     coeffs = tuple(c.real for c in p.coeffs)
-    deg = len(coeffs) - 1
-    if deg < 1:
-        raise DegreeZero("constant polynomial has no root structure")
-    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
-    ctop = max(abs(c) for c in coeffs)
-
-    if deg == 1:
-        raw = [-coeffs[0] / coeffs[1] + 0j]
-    else:
-        raw = list(_companion_eigenvalues(coeffs))
-
-    accepted: list[float] = []
-    for lam in raw:
-        if abs(lam.imag) > 1e-4 * max(1.0, abs(lam)):
-            continue
-        x, res = _newton_polish(coeffs, dcoeffs, float(lam.real), ctop)
-        x = float(x.real) if isinstance(x, complex) else float(x)
-        # bisection step when the polynomial changes sign around the estimate
-        eps = 1e-7 * max(1.0, abs(x))
-        lo, hi = x - eps, x + eps
-        flo, fhi = horner(coeffs, lo).real, horner(coeffs, hi).real
-        if flo * fhi < 0:
-            x = brentq(lambda t: horner(coeffs, t).real, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            res = _rel_residual(coeffs, x, ctop)
-        if res <= residual_tol:
-            accepted.append(x)
-
-    accepted.sort()
-    out: list[RealRoot] = []
-    for x in accepted:
-        if out and abs(x - out[-1].value) <= 1e-7 * max(1.0, abs(x)):
-            out[-1] = RealRoot(out[-1].value, out[-1].multiplicity + 1)
-        else:
-            out.append(RealRoot(x, 1))
-    return out
+    xs = sorted(
+        z.real
+        for z in _companion_roots(coeffs)
+        if abs(z.imag) <= 1e-4 * max(1.0, abs(z)) and _rel_residual(coeffs, z.real, top) <= 1e-12
+    )
+    return [RealRoot(x, mult) for x, mult in _cluster(xs)]
 
 
 def complex_roots(p: Poly) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities (clustered), unordered pairs sorted by real part."""
-    coeffs = p.coeffs
-    deg = len(coeffs) - 1
-    if deg < 1:
-        raise DegreeZero("constant polynomial has no root structure")
-    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
-    top = max(abs(c) for c in coeffs)
-    polished = []
-    for lam in _companion_eigenvalues(coeffs):
-        z, _ = _newton_polish(coeffs, dcoeffs, complex(lam), top, iters=40)
-        polished.append(complex(z))
-    polished.sort(key=lambda z: (z.real, z.imag))
-    out: list[tuple[complex, int]] = []
-    for z in polished:
-        if out and abs(z - out[-1][0]) <= 1e-7 * max(1.0, abs(z)):
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((z, 1))
-    return out
+    return _cluster(sorted(_companion_roots(p.coeffs), key=lambda z: (z.real, z.imag)))
 
 
 def circle_roots(samples, degree: int, size) -> np.ndarray:

@@ -181,6 +181,14 @@ class TestDesign:
         inp = write_descriptor(tmp_path, design, "design.json")
         assert cli.main(["design", "--input", inp, "--output", str(tmp_path / "x")]) == 1
 
+    def test_overflowing_report_exits_2(self, tmp_path, capsys):
+        # x0 = 1e200 is finite, but the interval overflows the report numbers to NaN: a numerical
+        # failure that writes no report
+        inp = write_descriptor(tmp_path, {**DESIGN_M8_B3PI, "x0": 1e200}, "design.json")
+        assert cli.main(["design", "--input", inp, "--output", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: design report is not finite")
+        assert sorted(os.listdir(tmp_path)) == ["design.json"]
+
 
 class TestFigure:
     def test_unknown_figure_id(self, tmp_path):
@@ -263,10 +271,13 @@ def test_figure_four_matches_design(tmp_path):
         ("analyze", {**EXAMPLE_ONE, "zeros": [{"re": 0.0, "im": "-0.25"}]}),
         ("design", {**DESIGN_M8_B3PI, "x0": 10**400}),
         ("design", {**DESIGN_M8_B3PI, "profile": {"kind": "exp", "kappa": False}}),
+        ("design", {**DESIGN_M8_B3PI, "x0": math.inf}),
+        ("design", {**DESIGN_M8_B3PI, "profile": {"kind": "exp", "kappa": math.nan}}),
     ],
     ids=["array", "zeros-number", "period-null", "coeff-number", "kappa-null",
          "m-fraction", "m-infinite", "mult-fraction", "mult-bool", "mult-overflow",
-         "period-string", "period-bool", "period-overflow", "im-string", "x0-overflow", "kappa-bool"],
+         "period-string", "period-bool", "period-overflow", "im-string", "x0-overflow", "kappa-bool",
+         "x0-infinite", "kappa-nan"],
 )
 def test_malformed_descriptor_exits_1(tmp_path, capsys, command, payload):
     args = ["--input", write_descriptor(tmp_path, payload), "--output", str(tmp_path / "out")]
@@ -317,6 +328,15 @@ class TestVerify:
 
     def test_example_three_includes_reference_norm(self, tmp_path, capsys):
         inp = write_descriptor(tmp_path, EXAMPLE_THREE)
+        rc = cli.main(["verify", "--input", inp, "--tol", "1e-6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "reference_normalization" in out
+        assert "FAIL" not in out
+
+    def test_reference_norm_follows_the_period(self, tmp_path, capsys):
+        # N scales as 1/sqrt(L): at period 2.5 the period-1 reference is 1/sqrt(2.5) off
+        inp = write_descriptor(tmp_path, {**EXAMPLE_THREE, "period": 2.5})
         rc = cli.main(["verify", "--input", inp, "--tol", "1e-6"])
         out = capsys.readouterr().out
         assert rc == 0

@@ -163,5 +163,5 @@ def test_oracle_imports_no_analytic_module():
 
 
 def test_analytic_modules_do_not_import_scipy():
-    """Only the oracle integrates numerically. polyring still imports brentq for real_roots."""
-    assert importers(["contwave", "ringwave", "padegen"], {"scipy"}) == []
+    """Only the oracle integrates numerically."""
+    assert importers(["contwave", "ringwave", "padegen", "polyring"], {"scipy"}) == []

@@ -129,6 +129,25 @@ def test_real_roots_constant_raises():
         real_roots(Poly((2.0,)))
 
 
+def test_real_roots_double():
+    roots = real_roots(Poly((1.0, -2.0, 1.0)))
+    assert [r.multiplicity for r in roots] == [2]
+    assert roots[0].value == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("gap, expected", [(1e-5, []), (1e-7, [(1.0, 2)])], ids=["1e-5", "1e-7"])
+def test_real_roots_of_a_near_axis_pair(gap, expected):
+    # roots 1 +- gap i: at 1e-5 the real part leaves a residual of 1e-11, no root; at 1e-7 it
+    # leaves 1e-15, one double root, clustered on the real parts
+    roots = real_roots(Poly((1.0 + gap * gap, -2.0, 1.0)))
+    assert [(pytest.approx(x, abs=1e-12), m) for x, m in roots] == expected
+
+
+def test_real_roots_rejects_complex_coefficients():
+    with pytest.raises(ValueError):
+        real_roots(Poly((1j, 1.0)))
+
+
 def test_circle_roots_of_trigonometric_polynomial():
     # simple roots at +-pi/3; the factor cos 2t + 3 raises the degree to 3
     # without adding roots
