@@ -138,8 +138,6 @@ class SampledField:
     def __post_init__(self):
         if not np.all(np.diff(self.x) > 0):
             raise ValueError("sample grid must be strictly increasing")
-        if np.any(self.density < 0):
-            raise ValueError("density must be nonnegative")
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -223,11 +221,15 @@ def backflow_report_json(report: cw.BackflowReport) -> dict:
 
 def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
     xs = np.linspace(lo, hi, samples)
-    if isinstance(wf, cw.LineWaveFunction):
-        ks, js = cw.local_wavenumber(wf, xs), cw.probability_current(wf, xs)
-    else:
-        ks, js = rw.ring_wavenumber(wf, xs), rw.ring_current(wf, xs)
-    return SampledField(xs, np.abs(wf(xs)) ** 2, ks, js)
+    with np.errstate(over="ignore", invalid="ignore"):  # far out, psi's products overflow to inf / inf
+        if isinstance(wf, cw.LineWaveFunction):
+            ks, js = cw.local_wavenumber(wf, xs), cw.probability_current(wf, xs)
+        else:
+            ks, js = rw.ring_wavenumber(wf, xs), rw.ring_current(wf, xs)
+        density = np.abs(wf(xs)) ** 2
+    if not np.all(np.isfinite(density)):
+        raise BackflowError(f"density is not finite on [{lo!r}, {hi!r}]")
+    return SampledField(xs, density, ks, js)
 
 
 # ---------------------------------------------------------------------------

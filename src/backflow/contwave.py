@@ -113,7 +113,7 @@ class RationalSpec:
         """Per root, zeros first, as columns for the leading root axis of k: position, its real and
         imaginary parts, modulus and phase (Python's abs and cmath.phase, which numpy's complex abs
         and angle can miss by an ulp), multiplicity (+ for a zero, - for a pole) and the squared
-        distance below which k is undefined (1e-24 at a zero, none at a pole)."""
+        distance below which k is undefined (1e-24 at a zero, a real one on the line; none at a pole)."""
         roots = self.zeros + self.poles
         z = [r.position for r in roots]
         zero = np.arange(len(roots)) < len(self.zeros)
@@ -315,7 +315,7 @@ def local_wavenumber(wf: LineWaveFunction, x):
     NaN in an array (which the sum carries on without a division warning)."""
     _, u, v, _, _, mult, singular = wf.spec.root_columns
     d2 = (np.array(x, float, ndmin=1) - u) ** 2 + v * v
-    terms = mult * v / np.where(d2 < singular, np.nan, d2)
+    terms = mult * v / np.where((d2 < singular) & (v == 0), np.nan, d2)
     return _as_given(x, _root_sum(terms), undefined="local wave number undefined at the real zero")
 
 
@@ -429,7 +429,7 @@ def _polished_roots(chart: _Chart, at, kinds):
 def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     """Backflow regions and extrema of k and j from the real roots of the
     _numerators of k, k' and j' = (|psi|^2 k)' (_polished_roots). A sign change
-    is kept when |k| is at round-off of its terms after the Newton steps. The
+    is kept when |k| is at round-off of its terms or of theta after the Newton steps. The
     sign of k at their midpoints, finite even on a zero of psi, classifies the
     pieces between sign changes; one with k >= 0 on both sides is a tangency.
     The minima are the lowest k and j over the critical points (line: from 0 at inf)."""
@@ -437,14 +437,16 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     at, table = _evaluator(chart)
     found, theta, kind = _polished_roots(chart, at, (0, 1, 2))
 
-    def kappa(theta):  # k / lam and the size of its terms a, b cos, c sin, which bounds its round-off
-        q, n, _, _ = at(theta)[0]
+    def kappa(theta):  # k / lam, the size of its terms a, b cos, c sin, which bounds its round-off, and d/dtheta
+        (q, n, _, _), (dq, dn, _, _) = at(theta)
         n_size = np.abs(table[0, :K]) @ np.abs([np.ones_like(theta), np.cos(theta), np.sin(theta)])
-        return c0 + (n[:K] / q[:K]).sum(0), abs(c0) + (n_size / q[:K]).sum(0)
+        kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
+        return c0 + kap, abs(c0) + (n_size / q[:K]).sum(0), dkap
 
     crossing = np.sort(theta[kind == 0])
-    kap, k_size = kappa(crossing)
-    crossing = crossing[np.abs(kap) <= ROUNDOFF_K * k_size]
+    kap, k_size, dkap = kappa(crossing)
+    # a steep crossing is at the round-off of theta, 32 ulps of pi times dk/dtheta, above that of the terms
+    crossing = crossing[np.abs(kap) <= ROUNDOFF_K * k_size + 2**-46 * np.abs(dkap)]
     wrap = -math.inf if line else crossing[-1:] - 2 * math.pi  # the ring is cyclic
     crossing = crossing[np.diff(crossing, prepend=wrap) > ROOT_MERGE]
     x = chart.to_x(crossing).tolist()

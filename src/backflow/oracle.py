@@ -6,7 +6,8 @@ with a `period`) or any other callable is called as it is. Fourier integrals
 over the real line are split into two semi-axes and handed to QUADPACK's
 Fourier-weight routine, which extrapolates over oscillation cycles; that
 replaces naive subdivision at the oscillation zeros, which cannot cope with
-slowly decaying tails. `verify_line` and `verify_ring` hold the library's
+slowly decaying tails. Only `_quad` calls QUADPACK, importing scipy as it runs,
+so analysis never loads scipy. `verify_line` and `verify_ring` hold the library's
 values, passed in as functions, against these and return `backflow verify`'s rows.
 """
 
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure, SingularPoint
 
@@ -32,18 +32,6 @@ class QuadratureResult:
     value: complex
     est_error: float
     evaluations: int
-
-
-class _Counted:
-    """Wrap a callable, counting scalar evaluations."""
-
-    def __init__(self, func):
-        self.func = func
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self.func(x)
 
 
 def _psi(wf):
@@ -66,42 +54,38 @@ def _psi(wf):
     return psi
 
 
-def _qawf(func, omega, kind, epsabs):
-    # integral of func(x) * cos/sin(omega*x) over [0, inf), omega > 0
-    out = integrate.quad(
-        func, 0.0, np.inf, weight=kind, wvar=omega, epsabs=epsabs,
-        limit=200, limlst=200, maxp1=100, full_output=1,
-    )
-    ok = len(out) < 4
-    return out[0], out[1], ok
+def _quad(f, a, b, **options):
+    """QUADPACK's integral of f over [a, b] (scipy.integrate.quad with `options`):
+    (value, error estimate, converged, evaluations of f)."""
+    from scipy import integrate
+
+    value, error, info, *message = integrate.quad(f, a, b, full_output=1, **options)
+    return value, error, not message, info["neval"]
 
 
 def _semiaxis_fourier(g, omega, epsabs):
-    """integral of g(x) * exp(i*omega*x) over [0, inf) for real omega != 0."""
+    """integral of g(x) * exp(i*omega*x) over [0, inf) for real omega != 0, as _quad returns it."""
     w, s = abs(omega), math.copysign(1.0, omega)
-    gr = lambda x: g(x).real
-    gi = lambda x: g(x).imag
-    rc, e1, ok1 = _qawf(gr, w, "cos", epsabs)
-    rs, e2, ok2 = _qawf(gr, w, "sin", epsabs)
-    ic, e3, ok3 = _qawf(gi, w, "cos", epsabs)
-    is_, e4, ok4 = _qawf(gi, w, "sin", epsabs)
+    parts = [
+        _quad(h, 0.0, math.inf, weight=kind, wvar=w, epsabs=epsabs, limit=200, limlst=200, maxp1=100)
+        for h in (lambda x: g(x).real, lambda x: g(x).imag)
+        for kind in ("cos", "sin")
+    ]
+    (rc, rs, ic, is_), errors, ok, evals = zip(*parts)
     value = (rc - s * is_) + 1j * (ic + s * rs)
-    return value, e1 + e2 + e3 + e4, ok1 and ok2 and ok3 and ok4
+    return value, sum(errors), all(ok), sum(evals)
 
 
 def _tan_mapped_integral(f, real_breakpoints, epsabs, epsrel):
     """integral of real f over the real line via x = tan(theta), split at the breakpoints' images:
-    (value, error estimate, converged)."""
+    (value, error estimate, converged, evaluations)."""
 
     def g(t):
         x = math.tan(t)
         return f(x) * (1.0 + x * x)
 
     pts = sorted({math.atan(b) for b in real_breakpoints})
-    out = integrate.quad(
-        g, -_HALF_PI, _HALF_PI, points=pts, epsabs=epsabs, epsrel=epsrel, limit=250, full_output=1
-    )
-    return out[0], out[1], len(out) < 4
+    return _quad(g, -_HALF_PI, _HALF_PI, points=pts, epsabs=epsabs, epsrel=epsrel, limit=250)
 
 
 def fourier_quadrature(wf, p: float, tol: float = 1e-8) -> QuadratureResult:
@@ -114,30 +98,30 @@ def fourier_quadrature(wf, p: float, tol: float = 1e-8) -> QuadratureResult:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    counted = _Counted(_psi(wf))
+    psi = _psi(wf)
     tol_raw = tol * _SQRT_2PI
     breaks = [r.position.real for r in wf.spec.zeros + wf.spec.poles]
 
     if p == 0:
-        g = counted
+        g = psi
         if wf.spec.n - wf.spec.m == 1:
             asym = wf.norm_constant * wf.phase  # lim x psi(x)
-            g = lambda x: counted(x) - asym * x / (x * x + 1.0)
+            g = lambda x: psi(x) - asym * x / (x * x + 1.0)
             breaks.append(0.0)
-        vr, er, ok1 = _tan_mapped_integral(lambda x: g(x).real, breaks, tol_raw / 4, 1e-11)
-        vi, ei, ok2 = _tan_mapped_integral(lambda x: g(x).imag, breaks, tol_raw / 4, 1e-11)
-        value, err, ok = vr + 1j * vi, er + ei, ok1 and ok2
+        vr, er, ok1, n1 = _tan_mapped_integral(lambda x: g(x).real, breaks, tol_raw / 4, 1e-11)
+        vi, ei, ok2, n2 = _tan_mapped_integral(lambda x: g(x).imag, breaks, tol_raw / 4, 1e-11)
+        value, err, ok, evals = vr + 1j * vi, er + ei, ok1 and ok2, n1 + n2
     else:
         # split at the origin; each side is a semi-axis Fourier integral
-        right, e1, ok1 = _semiaxis_fourier(counted, -p, tol_raw / 8)
-        left, e2, ok2 = _semiaxis_fourier(lambda x: counted(-x), p, tol_raw / 8)
-        value, err, ok = right + left, e1 + e2, ok1 and ok2
+        right, e1, ok1, n1 = _semiaxis_fourier(psi, -p, tol_raw / 8)
+        left, e2, ok2, n2 = _semiaxis_fourier(lambda x: psi(-x), p, tol_raw / 8)
+        value, err, ok, evals = right + left, e1 + e2, ok1 and ok2, n1 + n2
 
     if err > tol_raw and not ok:
         raise QuadratureFailure(
             f"Fourier quadrature at p={p} reached error {err:.3e} (target {tol_raw:.3e})"
         )
-    return QuadratureResult(value / _SQRT_2PI, err / _SQRT_2PI, counted.count)
+    return QuadratureResult(value / _SQRT_2PI, err / _SQRT_2PI, evals)
 
 
 def phase_gradient_fd(wf, x: float, h: float = 1e-5) -> float:
@@ -187,19 +171,19 @@ def norm_quadrature(wf, tol: float = 1e-10) -> QuadratureResult:
             m *= 2
         raise QuadratureFailure("period trapezoid did not converge before the cap")
 
-    counted = _Counted(_psi(wf))
+    psi = _psi(wf)
 
     def density(x):
-        v = counted(x)
+        v = psi(x)
         return v.real * v.real + v.imag * v.imag
 
     breaks = [r.position.real for r in wf.spec.zeros + wf.spec.poles]
-    val, err, ok = _tan_mapped_integral(density, breaks, 0.0, 0.1 * tol)
+    val, err, _, evals = _tan_mapped_integral(density, breaks, 0.0, 0.1 * tol)
     if err > tol * abs(val):
         raise QuadratureFailure(
             f"norm quadrature error {err:.3e} exceeds {tol:.1e} relative"
         )
-    return QuadratureResult(complex(val), err, counted.count)
+    return QuadratureResult(complex(val), err, evals)
 
 
 def single_pole_reference_norm(a: float, n: int) -> float:
@@ -211,10 +195,10 @@ def single_pole_reference_norm(a: float, n: int) -> float:
     if not (a > 1):
         raise ValueError("requires a > 1")
     c = (a - 1.0) / (a + 1.0)
-    val, err = integrate.quad(
+    val, err, _, _ = _quad(
         lambda t: (1 + c * c * t * t) ** (n - 1) / (1 + t * t) ** n,
         0.0,
-        np.inf,
+        math.inf,
         epsabs=1e-13,
         epsrel=1e-12,
     )

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +383,51 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert rc == 3
         assert [line.split()[1] for line in out if line.startswith("normalization")] == ["FAIL"]
+
+
+def test_overflowing_field_exits_2(tmp_path, capsys):
+    # far out psi's numerator and denominator products overflow to inf / inf, though |psi| ~ N/|x|
+    # is finite: a numerical failure that writes no file, not NaN rows
+    state = {
+        "kind": "line",
+        "zeros": [{"re": 0.0, "im": -0.25, "mult": 1}, {"re": 1.0, "im": -0.5, "mult": 1}],
+        "poles": [{"re": 0.0, "im": -1.0, "mult": 3}],
+    }
+    inp = write_descriptor(tmp_path, state)
+    argv = ["analyze", "--input", inp, "--output", str(tmp_path / "far"), "--range=-1e160:1e160", "--samples", "5"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: density is not finite")
+    assert sorted(os.listdir(tmp_path)) == ["descriptor.json"]
+
+
+def test_scipy_loads_only_when_the_oracle_integrates(tmp_path):
+    """In a fresh interpreter, analyze (a line state and a ring), design and figures 1-4 leave scipy
+    unloaded; a following verify imports scipy.integrate for its quadratures."""
+    line, ring = write_descriptor(tmp_path, EXAMPLE_ONE, "line.json"), write_descriptor(tmp_path, EXAMPLE_THREE, "ring.json")
+    design = write_descriptor(tmp_path, DESIGN_M8_B3PI, "design.json")
+    samples = ["--samples", "101"]
+    runs = [
+        ["analyze", "--input", line, "--output", str(tmp_path / "line"), *samples],
+        ["analyze", "--input", ring, "--output", str(tmp_path / "ring"), *samples],
+        ["design", "--input", design, "--output", str(tmp_path / "design"), *samples],
+        *(["figure", "--figure", str(i), "--output", str(tmp_path / f"figure{i}"), *samples] for i in range(1, 5)),
+    ]
+    script = (
+        "import json, sys\n"
+        "import backflow, backflow.cli as cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "before = 'scipy' in sys.modules\n"
+        "code = cli.main(['verify', '--input', sys.argv[2]])\n"
+        "print(json.dumps([codes, before, code, 'scipy.integrate' in sys.modules]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), line], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    codes, before, code, integrate = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert not before, "scipy was loaded before verify"
+    assert code == 0 and integrate

@@ -572,3 +572,22 @@ class TestProperties:
             weights = np.linalg.solve(vander, rhs)
             onesided = np.dot(weights, samples) / h**deriv
             assert abs(onesided) < tol
+
+
+@pytest.mark.parametrize("w", [1e-8, 1e-10, 1e-13])
+def test_zero_just_below_the_axis_keeps_its_interval(w):
+    """psi = N (x - a) / (x + i)^2 with a = t - iw: k = 2/(1 + x^2) - w/((x - t)^2 + w^2) is
+    about -1/w at t and negative on one interval about t, whose ends are the roots of
+    (2 - w) x^2 - 4 t x + 2 t^2 + 2 w^2 - w. Its crossings are so steep that |k| there
+    exceeds the round-off of k's terms, and is at the round-off of theta instead. The ends
+    are held to 1e-12 of the state's unit length scale, or of themselves when larger."""
+    for t in np.linspace(-3.0, 3.0, 25).tolist():
+        report = cw.backflow_intervals(example_one(complex(t, -w)))
+        hits = [iv for iv in report.intervals if iv[0] <= t <= iv[1]]
+        assert len(hits) == 1, f"a = {t} - {w}i: {report}"
+        with mpmath.workdps(50):
+            a, b, c = 2 - mpmath.mpf(w), -4 * mpmath.mpf(t), 2 * mpmath.mpf(t) ** 2 + 2 * mpmath.mpf(w) ** 2 - w
+            d = mpmath.sqrt(b * b - 4 * a * c)
+            for end, root in zip(hits[0], ((-b - d) / (2 * a), (-b + d) / (2 * a))):
+                assert abs(end - root) <= 1e-12 * max(1, abs(root)), f"a = {t} - {w}i: {end} vs {root}"
+        assert any(lo < report.min_wavenumber_location < hi for lo, hi in report.intervals), report

@@ -165,3 +165,38 @@ def test_oracle_imports_no_analytic_module():
 def test_analytic_modules_do_not_import_scipy():
     """Only the oracle integrates numerically."""
     assert importers(["contwave", "ringwave", "padegen", "polyring"], {"scipy"}) == []
+
+
+def test_scipy_is_imported_only_inside_the_quadpack_helper():
+    """Importing backflow loads no scipy: the oracle's _quad imports it when it integrates."""
+    source = Path(oracle.__file__)
+    found = importers(sorted(p.stem for p in source.parent.glob("*.py")), {"scipy"})
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    quad = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_quad")
+    assert len(found) == 1 and found[0].startswith("oracle.py:"), found
+    assert quad.lineno < int(found[0].split(":")[1]) <= quad.end_lineno
+
+
+@pytest.mark.parametrize("case", ["norm", "p=0 asymptote", "p=1.3"])
+def test_evaluations_count_psi_calls(monkeypatch, case):
+    """QuadratureResult.evaluations is the number of times the quadratures called psi."""
+    calls = []
+    plain = oracle._psi
+
+    def counting(wf):
+        psi = plain(wf)
+
+        def counted(x):
+            calls.append(x)
+            return psi(x)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_psi", counting)
+    if case == "norm":
+        got = oracle.norm_quadrature(example_one())
+    elif case == "p=0 asymptote":  # 1/(x + i): decay exponent 1, the principal-value path
+        got = oracle.fourier_quadrature(cw.make_line_wavefunction(cw.RationalSpec(poles=(cw.Root(-1j),))), 0.0)
+    else:
+        got = oracle.fourier_quadrature(example_one(), 1.3)
+    assert got.evaluations == len(calls) > 0
