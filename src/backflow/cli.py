@@ -222,11 +222,9 @@ def backflow_report_json(report: cw.BackflowReport) -> dict:
 def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
     xs = np.linspace(lo, hi, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # far out, psi's products overflow to inf / inf
-        if isinstance(wf, cw.LineWaveFunction):
-            ks, js = cw.local_wavenumber(wf, xs), cw.probability_current(wf, xs)
-        else:
-            ks, js = rw.ring_wavenumber(wf, xs), rw.ring_current(wf, xs)
-        density = np.abs(wf(xs)) ** 2
+        k_of = cw.local_wavenumber if isinstance(wf, cw.LineWaveFunction) else rw.ring_wavenumber
+        psi, ks = wf(xs), k_of(wf, xs)
+        density, js = np.abs(psi) ** 2, cw._current(psi, ks)
     if not np.all(np.isfinite(density)):
         raise BackflowError(f"density is not finite on [{lo!r}, {hi!r}]")
     return SampledField(xs, density, ks, js)

@@ -320,9 +320,10 @@ def local_wavenumber(wf: LineWaveFunction, x):
 
 
 def _root_sum(terms):
-    """Sum over the leading root axis, in root order whatever the number of points (a
-    reduction over one point would sum pairwise), so a scalar call equals an array call."""
-    return np.add.accumulate(terms)[-1]
+    """Sum over the leading root axis, in root order whatever the number of points, so a scalar
+    call equals an array call: a reduction adds whole rows in turn, but over one point it would
+    sum the column pairwise, so one point is summed as a running sum."""
+    return np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms)[-1]
 
 
 def probability_current(wf: LineWaveFunction, x):
@@ -333,15 +334,17 @@ def probability_current(wf: LineWaveFunction, x):
 
 class _Chart(NamedTuple):
     """A geometry on the circle theta, x = to_x(theta): k = lam (c0 + sum n/q) and
-    dk/dx = lam sum g/q^2 over `roots`, lam(theta) > 0, and d log|psi|^2 / dx =
-    sum f/q over `roots` and `zeros` (on the line or circle). n, g, f are given
-    as (a, b, c) for a + b cos(theta) + c sin(theta); q = |P - zeta Q|^2 with
-    (P, Q, P', Q') = frame(theta) keeps a small q exact. Rows: (zeta, theta of
-    least q, n, g, f) per root, (zeta, theta, f) per zero."""
+    dk/dx = lam sum g/q^2 over the first K roots, lam(theta) > 0, and d log|psi|^2 / dx =
+    sum f/q over all R roots, the last R - K (zeros on the line or circle) adding
+    nothing to k. coef[0..2] hold n, g, f per root as (a, b, c) for a + b cos(theta)
+    + c sin(theta); q = |P - zeta Q|^2 with (P, Q, P', Q') = frame(theta) keeps a
+    small q exact, and q is least near theta = centre."""
 
     c0: float
-    roots: list
-    zeros: list
+    K: int
+    zeta: np.ndarray  # R x 1
+    centre: np.ndarray  # R
+    coef: np.ndarray  # 3 x R x 3
     frame: Callable
     to_x: Callable
     period: float | None  # None on the line, whose theta = pi is x = +-inf
@@ -367,37 +370,28 @@ def _numerators(c0, q, n, g, f, K, kinds):
     return k, dk, k * log_slope + dk * prod0
 
 
-def _evaluator(chart: _Chart):
-    """at(theta): q, n, g, f of the chart's roots, then its zeros, at theta, and
-    their theta-derivatives; with the (n, g, f) coefficient table it reads."""
-    rows = chart.roots + [(*z[:2], (0.0,) * 3, (0.0,) * 3, z[2]) for z in chart.zeros]  # n = g = 0
-    zeta = np.array([row[0] for row in rows], complex)[:, None]
-    table = np.array([row[2:] for row in rows], float).reshape(-1, 3, 3).transpose(1, 0, 2)
-
-    def at(theta):
-        P, Q, dP, dQ = chart.frame(theta)
-        u, du, cos, sin = P - zeta * Q, dP - zeta * dQ, np.cos(theta), np.sin(theta)
-        q, dq = u.real**2 + u.imag**2, 2 * (u.real * du.real + u.imag * du.imag)
-        n, g, f = table @ np.array([np.ones_like(theta), cos, sin])
-        dn, dg, df = table @ np.array([0 * theta, -sin, cos])
-        return (q, n, g, f), (dq, dn, dg, df)
-
-    return at, table
+def _at(chart: _Chart, theta):
+    """q, n, g, f of the chart's roots at theta, and their theta-derivatives."""
+    P, Q, dP, dQ = chart.frame(theta)
+    u, du, cos, sin = P - chart.zeta * Q, dP - chart.zeta * dQ, np.cos(theta), np.sin(theta)
+    q, dq = u.real**2 + u.imag**2, 2 * (u.real * du.real + u.imag * du.imag)
+    n, g, f = chart.coef @ np.array([np.ones_like(theta), cos, sin])
+    dn, dg, df = chart.coef @ np.array([0 * theta, -sin, cos])
+    return (q, n, g, f), (dq, dn, dg, df)
 
 
-def _polished_roots(chart: _Chart, at, kinds):
+def _polished_roots(chart: _Chart, kinds):
     """Real roots in theta of the trigonometric polynomials `kinds`, sampled on one grid:
-    the _numerators of k, k', j' (0-2; degrees K, 2K, K + R over K roots, R roots and
-    zeros) or of (log|psi|^2)' (3; degree R). Returns them as circle_roots finds them (an
+    the _numerators of k, k', j' (0-2; degrees K, 2K, K + R over the chart's K roots of k and
+    all R) or of (log|psi|^2)' (3; degree R). Returns them as circle_roots finds them (an
     array per kind) and after three Newton steps, in [-pi, pi), with their kinds (-1:
     x = +-inf on the line). A narrow dip or peak is below the round-off, so the critical
     points (1-3) also start from each q's least."""
-    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
-    R = K + len(chart.zeros)
+    line, K, c0, R = chart.period is None, chart.K, chart.c0, chart.centre.size
     degrees = [(K, 2 * K, K + R, R)[k] for k in kinds]
     size = 4 << max(degrees).bit_length()
     grid = (2 * math.pi / size) * np.arange(size)
-    on_grid = np.array(at(grid)[0])
+    on_grid = np.array(_at(chart, grid)[0])
     # the sums and their sizes in one pass, side by side along the grid axis
     sums = _numerators(np.repeat([c0, abs(c0)], size), *np.concatenate([on_grid, np.abs(on_grid)], -1), K, kinds)
     found = [circle_roots(s[:size], d, s[size:]) for s, d in zip(sums, degrees)]
@@ -405,13 +399,12 @@ def _polished_roots(chart: _Chart, at, kinds):
         found = [theta[np.abs(theta) < math.pi - ROOT_MERGE] for theta in found]
     else:  # a constant k or j on the ring has no critical points
         found = [theta if theta.size or k == 0 else grid for theta, k in zip(found, kinds)]
-    centres = np.array([row[1] for row in chart.roots + chart.zeros])
     critical = [k for k in kinds if k]
-    kind = np.repeat([*kinds, *critical], [*(theta.size for theta in found), *[centres.size] * len(critical)])
-    theta = np.concatenate([*found, *[centres] * len(critical)])
+    kind = np.repeat([*kinds, *critical], [*(theta.size for theta in found), *[R] * len(critical)])
+    theta = np.concatenate([*found, *[chart.centre] * len(critical)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a start on a zero of psi
         for _ in range(3):
-            (q, n, g, f), (dq, dn, dg, df) = at(theta)
+            (q, n, g, f), (dq, dn, dg, df) = _at(chart, theta)
             kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
             kap = kap + c0
             slope, dslope = _ratio(g[:K], dg[:K], q[:K], dq[:K], 2)
@@ -433,13 +426,12 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     sign of k at their midpoints, finite even on a zero of psi, classifies the
     pieces between sign changes; one with k >= 0 on both sides is a tangency.
     The minima are the lowest k and j over the critical points (line: from 0 at inf)."""
-    line, K, c0 = chart.period is None, len(chart.roots), chart.c0
-    at, table = _evaluator(chart)
-    found, theta, kind = _polished_roots(chart, at, (0, 1, 2))
+    line, K, c0 = chart.period is None, chart.K, chart.c0
+    found, theta, kind = _polished_roots(chart, (0, 1, 2))
 
     def kappa(theta):  # k / lam, the size of its terms a, b cos, c sin, which bounds its round-off, and d/dtheta
-        (q, n, _, _), (dq, dn, _, _) = at(theta)
-        n_size = np.abs(table[0, :K]) @ np.abs([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+        (q, n, _, _), (dq, dn, _, _) = _at(chart, theta)
+        n_size = np.abs(chart.coef[0, :K]) @ np.abs([np.ones_like(theta), np.cos(theta), np.sin(theta)])
         kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
         return c0 + kap, abs(c0) + (n_size / q[:K]).sum(0), dkap
 
@@ -487,35 +479,37 @@ def _centre_scale(positions) -> tuple[float, float]:
     return c, (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2
 
 
-def _line_chart(wf: LineWaveFunction) -> _Chart:
+def _line_chart(spec: RationalSpec) -> _Chart:
     """The line on the circle x = c + s tan(theta/2), c and s from _centre_scale of the roots. For
     u + iv = c + s(d + iw), (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw)
     cos(theta/2)|^2 = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
-    c, s = _centre_scale([r.position for r in wf.spec.zeros + wf.spec.poles])
-    roots, zeros = [], []
-    for sign, group in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
-        for r in group:
-            d, w, m = (r.position.real - c) / s, r.position.imag / s, sign * r.multiplicity
-            f = (-m * d / s, -m * d / s, m / s)  # 2 m cos(theta/2) e / s
-            if w == 0.0:
-                zeros.append((complex(d, w), 2 * math.atan(d), f))
-            else:
-                roots.append((complex(d, w), 2 * math.atan(d), (m * w, 0, 0), tuple(-w * e for e in f), f))
+    c, s = _centre_scale([r.position for r in spec.zeros + spec.poles])
+    _, u, v, _, _, m, _ = (column[:, 0] for column in spec.root_columns)
+    d, w = (u - c) / s, v / s
+    order = np.argsort(w == 0.0, kind="stable")  # real zeros last
+    d, w, m = d[order], w[order], m[order]
+    zeta = np.empty(d.shape, complex)
+    zeta.real, zeta.imag = d, w
+    coef = np.zeros((3, d.size, 3))
+    coef[2] = np.transpose([-m * d / s, -m * d / s, m / s])  # f = 2 m cos(theta/2) e / s
+    coef[1] = -w[:, None] * coef[2]
+    coef[0, :, 0] = m * w
     half = (lambda t: (np.sin(t / 2), np.cos(t / 2), np.cos(t / 2) / 2, -np.sin(t / 2) / 2))
-    return _Chart(0.0, roots, zeros, half, lambda t: c + s * np.tan(t / 2), None)
+    return _Chart(0.0, int(np.count_nonzero(w)), zeta[:, None], 2 * np.array([*map(math.atan, d)]), coef, half,
+                  lambda t: c + s * np.tan(t / 2), None)
 
 
 def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:
     """Every maximal region with k < 0, the tangencies of k with 0 and the minima
     of k and j, exactly, on the circle of _line_chart."""
-    return _circle_report(wf, _line_chart(wf), local_wavenumber, probability_current)
+    return _circle_report(wf, _line_chart(wf.spec), local_wavenumber, probability_current)
 
 
 def density_critical_points(wf: LineWaveFunction) -> np.ndarray:
     """The x of the critical points of |psi|^2 (some repeated; a real zero of psi,
     a minimum, among them), by the circle-root engine of backflow_intervals."""
-    chart = _line_chart(wf)
-    _, theta, kind = _polished_roots(chart, _evaluator(chart)[0], (3,))
+    chart = _line_chart(wf.spec)
+    _, theta, kind = _polished_roots(chart, (3,))
     return chart.to_x(theta[kind == 3])
 
 

@@ -103,14 +103,16 @@ def exp_profile_coeffs(kappa: float, count: int = 48) -> tuple[complex, ...]:
 
 def pade_numerator(problem: PadeProblem) -> Poly:
     """alpha_k = sum_{l<=k} beta_l p_(k-l) for k = 0..m, beta from the pole product."""
+    return _pade_polys(problem)[0]
+
+
+def _pade_polys(problem: PadeProblem) -> tuple[Poly, Poly]:
+    """The numerator of pade_numerator and the pole product B it is solved over, expanded once."""
     problem.validate()
-    beta = poly_from_roots(problem.poles).coeffs
-    m = problem.numerator_degree
-    p = problem.profile_coeffs
-    alpha = []
-    for k in range(m + 1):
-        alpha.append(sum(beta[l] * p[k - l] for l in range(0, min(k, len(beta) - 1) + 1)))
-    return Poly(tuple(alpha))
+    denominator = poly_from_roots(problem.poles)
+    m, beta, p = problem.numerator_degree, denominator.coeffs, problem.profile_coeffs
+    alpha = [sum(beta[l] * p[k - l] for l in range(min(k, len(beta) - 1) + 1)) for k in range(m + 1)]
+    return Poly(tuple(alpha)), denominator
 
 
 def design_wavefunction(problem: PadeProblem) -> DesignReport:
@@ -120,7 +122,7 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     normalization) and phase (kept on the wave function) so that psi tracks
     N * p(x) on the interval, not just |psi| tracking N |p|.
     """
-    numerator = pade_numerator(problem)
+    numerator, denominator = _pade_polys(problem)
     if numerator.degree < 0:
         raise SpecViolation("profile and poles produced an identically zero numerator")
 
@@ -146,8 +148,7 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     with np.errstate(over="ignore", invalid="ignore"):
         # fidelity: compare the un-normalized rational to the profile on the interval
         xs = np.linspace(-x0, x0, 2001)
-        denom_poly = poly_from_roots(problem.poles)
-        rational = poly_eval(numerator, xs + 0j) / poly_eval(denom_poly, xs + 0j)
+        rational = poly_eval(numerator, xs + 0j) / poly_eval(denominator, xs + 0j)
         profile = horner(problem.profile_coeffs, xs + 0j)
         max_error = float(np.max(np.abs(rational - profile)))
 

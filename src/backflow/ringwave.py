@@ -18,7 +18,6 @@ engine as on the line (contwave._circle_report), at any arc width.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -160,21 +159,16 @@ def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
     products. Arcs are (lo, hi) with lo, like tangencies, in [-L/2, L/2); an
     arc across the period seam keeps hi = lo + width."""
     lam = 2 * math.pi / wf.period
-    c0, roots, zeros = 0.0, [], []
-    for sign, group in ((1, wf.spec.zeros), (-1, wf.spec.poles)):
-        for r in group:
-            rho, phi, m = abs(r.position), cmath.phase(r.position), sign * r.multiplicity
-            if rho < 1e-12:
-                c0 += m
-                continue
-            f = 2 * m * rho * lam * np.array([0.0, -math.sin(phi), math.cos(phi)])  # m (log q)'
-            if abs(rho - 1) < 1e-12:
-                c0 += 0.5 * m
-                zeros.append((r.position, phi, f))
-            else:
-                n = (m, -m * rho * math.cos(phi), -m * rho * math.sin(phi))
-                roots.append((r.position, phi, n, 0.5 * (rho * rho - 1) * f, f))
+    pos, _, _, rho, phi, m, _ = (column[:, 0] for column in wf.spec.root_columns)
+    origin, on = rho < 1e-12, abs(rho - 1) < 1e-12
+    c0 = float(m[origin].sum() + 0.5 * m[on].sum())
+    keep = np.flatnonzero(~origin)[np.argsort(on[~origin], kind="stable")]  # roots off the circle first
+    pos, rho, phi, m = pos[keep], rho[keep], phi[keep], m[keep]
+    cos, sin = np.array([*map(math.cos, phi)]), np.array([*map(math.sin, phi)])
+    f = (2 * m * rho * lam)[:, None] * np.transpose([np.zeros_like(phi), -sin, cos])  # m (log q)'
+    coef = np.array([np.transpose([m, -m * rho * cos, -m * rho * sin]), (0.5 * (rho * rho - 1))[:, None] * f, f])
     turn = (lambda t: (np.exp(1j * t), 1.0, 1j * np.exp(1j * t), 0.0))  # q = |e^{it} - r|^2
-    chart = _Chart(c0, roots, zeros, turn, lambda t: np.mod(t, 2 * math.pi) / lam, wf.period)
+    chart = _Chart(c0, keep.size - int(on.sum()), pos[:, None], phi, coef, turn,
+                   lambda t: np.mod(t, 2 * math.pi) / lam, wf.period)
     return _circle_report(wf, chart, ring_wavenumber, ring_current)
 

@@ -62,6 +62,20 @@ STATES = {
     "ring-many-roots": lambda: rw.make_ring_wavefunction(
         RationalSpec((Root(0j, 2), Root(0.3 - 0.5j), Root(1.7j)), (Root(-2.0 + 1j), Root(1.2j, 2), Root(1.9 - 0.4j))), 1.0
     ),
+    # ten or more roots, past the 8 from which a pairwise sum over one point would differ from the loop
+    "line-eleven-roots": lambda: cw.make_line_wavefunction(
+        RationalSpec(
+            tuple(Root(complex(t, 0.4 - 0.3 * t * t)) for t in (-2.1, -1.3, -0.6, 0.2, 0.9)),
+            tuple(Root(complex(t, -0.5 - 0.2 * abs(t))) for t in (-2.4, -1.0, 0.1, 1.1, 2.2, 3.0)),
+        )
+    ),
+    "ring-ten-roots": lambda: rw.make_ring_wavefunction(
+        RationalSpec(
+            (Root(0j),) + tuple(Root(1.2 * t * np.exp(2.1j * t)) for t in (1.0, 1.4, 1.8, 2.2, 2.6)),
+            tuple(Root(1.1 * t * np.exp(-1.3j * t)) for t in (1.1, 1.5, 1.9, 2.3)),
+        ),
+        1.7,
+    ),
 }
 
 
