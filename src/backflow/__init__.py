@@ -40,6 +40,7 @@ from .padegen import (
     PadeProblem,
     amplitude_scaling_probe,
     design_wavefunction,
+    exp_design_problem,
     exp_profile_coeffs,
     pade_numerator,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "design_wavefunction",
     "eval_psi",
     "eval_spectrum",
+    "exp_design_problem",
     "exp_profile_coeffs",
     "fourier_quadrature",
     "local_wavenumber",

@@ -378,13 +378,7 @@ def _figure_designs(prefix: str, samples: int) -> int:
     xs = np.linspace(*FIGURE4_RANGE, samples)
     designs = []
     for b in FIGURE4_BS:
-        problem = pg.PadeProblem(
-            profile_coeffs=pg.exp_profile_coeffs(-1.0),
-            numerator_degree=FIGURE4_M,
-            poles=(cw.Root(-1j * b, FIGURE4_M + 1),),
-            half_width=math.pi,
-        )
-        _, vals, scale, numbers = _design(problem, xs)
+        _, vals, scale, numbers = _design(pg.exp_design_problem(FIGURE4_M, b, math.pi), xs)
         tag = f"b{b / math.pi:g}pi"
         write_csv(
             f"{prefix}_{tag}_density.csv", ["x", "density"], [xs, np.abs(vals) ** 2]
@@ -423,6 +417,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise SpecViolation(f"range must be 'lo:hi', got {text!r}") from exc
     if not lo < hi:
         raise SpecViolation(f"range must satisfy lo < hi, got {text!r}")
+    if not math.isfinite(hi - lo):  # an infinite end, or a width past the float range
+        raise SpecViolation(f"range must be finite with a finite width, got {text!r}")
     return lo, hi
 
 

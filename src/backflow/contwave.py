@@ -132,14 +132,16 @@ class RationalSpec:
 
     def products(self, z):
         """(prod (z - a)^m over the zeros, prod (z - b)^n over the poles) at
-        complex z, a scalar or a numpy array."""
-        num = 1.0 + 0j
-        for r in self.zeros:
-            num = num * (z - r.position) ** r.multiplicity
-        den = 1.0 + 0j
-        for r in self.poles:
-            den = den * (z - r.position) ** r.multiplicity
-        return num, den
+        complex z, a scalar or a numpy array. A simple root skips the power:
+        numpy's complex ** 1 runs its general power loop."""
+        def product(roots):
+            acc = 1.0 + 0j
+            for r in roots:
+                d = z - r.position
+                acc = acc * (d if r.multiplicity == 1 else d**r.multiplicity)
+            return acc
+
+        return product(self.zeros), product(self.poles)
 
 
 def validate_line_spec(spec: RationalSpec) -> None:

@@ -31,14 +31,7 @@ from .contwave import (
     with_phase,
 )
 from .errors import BackflowError, RootExtractionFailure, SpecViolation
-from .polyring import (
-    Poly,
-    complex_roots,
-    horner,
-    poly_eval,
-    poly_from_roots,
-    root_residual,
-)
+from .polyring import Poly, complex_roots, horner, poly_from_roots, root_residual
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,11 @@ class PadeProblem:
 class DesignReport:
     """Designed state plus its fidelity/price diagnostics.
 
-    max_error_on_interval is max |A/B - p| of the unnormalized A/B on 2001 points of [-x0, x0],
-    i.e. |psi - s p| / s with s = N / |lead(A)|; amplitude_ratio is max |psi| over the whole line
-    divided by its maximum on the interval (>= 1: the price of backflow fidelity), exactly: over
-    the critical points of |psi|^2 and the interval's ends, with no window."""
+    max_error_on_interval is max |psi - s p| / s with s = N / |lead(A)| on 2001 points of [-x0, x0]:
+    the error of the state as built, from its factored zeros, not of the expanded A/B. amplitude_ratio
+    is max |psi| over the whole line divided by its maximum on the interval (>= 1: the price of
+    backflow fidelity), exactly: over the critical points of |psi|^2 and the interval's ends, with
+    no window."""
 
     wavefunction: LineWaveFunction
     numerator: Poly
@@ -101,18 +95,17 @@ def exp_profile_coeffs(kappa: float, count: int = 48) -> tuple[complex, ...]:
     return tuple((1j * kappa) ** k / math.factorial(k) for k in range(count))
 
 
+def exp_design_problem(m: int, b: float, x0: float) -> PadeProblem:
+    """The paper's canonical design: exp(-ix) on [-x0, x0] over an order-(m+1) pole at -ib."""
+    return PadeProblem(exp_profile_coeffs(-1.0), m, (Root(-1j * b, m + 1),), x0)
+
+
 def pade_numerator(problem: PadeProblem) -> Poly:
     """alpha_k = sum_{l<=k} beta_l p_(k-l) for k = 0..m, beta from the pole product."""
-    return _pade_polys(problem)[0]
-
-
-def _pade_polys(problem: PadeProblem) -> tuple[Poly, Poly]:
-    """The numerator of pade_numerator and the pole product B it is solved over, expanded once."""
     problem.validate()
-    denominator = poly_from_roots(problem.poles)
-    m, beta, p = problem.numerator_degree, denominator.coeffs, problem.profile_coeffs
+    m, beta, p = problem.numerator_degree, poly_from_roots(problem.poles).coeffs, problem.profile_coeffs
     alpha = [sum(beta[l] * p[k - l] for l in range(min(k, len(beta) - 1) + 1)) for k in range(m + 1)]
-    return Poly(tuple(alpha)), denominator
+    return Poly(tuple(alpha))
 
 
 def design_wavefunction(problem: PadeProblem) -> DesignReport:
@@ -122,7 +115,7 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     normalization) and phase (kept on the wave function) so that psi tracks
     N * p(x) on the interval, not just |psi| tracking N |p|.
     """
-    numerator, denominator = _pade_polys(problem)
+    numerator = pade_numerator(problem)
     if numerator.degree < 0:
         raise SpecViolation("profile and poles produced an identically zero numerator")
 
@@ -146,9 +139,9 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     # an interval too wide for floats overflows both numbers below; that is an error, not a report
     x0 = problem.half_width
     with np.errstate(over="ignore", invalid="ignore"):
-        # fidelity: compare the un-normalized rational to the profile on the interval
+        # fidelity: the built state, on the profile's scale, against the profile on the interval
         xs = np.linspace(-x0, x0, 2001)
-        rational = poly_eval(numerator, xs + 0j) / poly_eval(denominator, xs + 0j)
+        rational = wf(xs) * (abs(leading) / wf.norm_constant)
         profile = horner(problem.profile_coeffs, xs + 0j)
         max_error = float(np.max(np.abs(rational - profile)))
 
@@ -172,12 +165,5 @@ def amplitude_scaling_probe(
     for b in b_values:
         if not b > x0:
             raise SpecViolation(f"pole distance b={b} must exceed the half-width {x0}")
-        problem = PadeProblem(
-            profile_coeffs=exp_profile_coeffs(-1.0),
-            numerator_degree=m,
-            poles=(Root(-1j * b, m + 1),),
-            half_width=x0,
-        )
-        report = design_wavefunction(problem)
-        out.append((float(b), report.amplitude_ratio))
+        out.append((float(b), design_wavefunction(exp_design_problem(m, b, x0)).amplitude_ratio))
     return out

@@ -111,11 +111,6 @@ def horner(coeffs: Sequence[complex], z):
     return acc
 
 
-def poly_eval(p: Poly, z):
-    """p at z, a complex scalar or a numpy array."""
-    return horner(p.coeffs, z)
-
-
 def series_quotient(num: Series, den: Series, order: int) -> Series:
     """First `order` Taylor coefficients of num/den about the shared center, by
     back-substitution over the den coefficients below `order`: O(order len(den)),

@@ -385,6 +385,46 @@ class TestVerify:
         assert [line.split()[1] for line in out if line.startswith("normalization")] == ["FAIL"]
 
 
+@pytest.mark.parametrize(
+    "text", ["-inf:inf", "0:inf", "-1e308:1.7e308", "a:b", "1:2:3", "2:1", "1:1.0000000000000002"],
+    ids=["both-infinite", "hi-infinite", "width-overflow", "not-numbers", "three-parts", "reversed", "no-grid"],
+)
+def test_bad_range_exits_1(tmp_path, capsys, text):
+    # the last has lo < hi, but 2001 samples between neighbouring floats are not increasing
+    inp = write_descriptor(tmp_path, EXAMPLE_ONE)
+    assert cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "out"), f"--range={text}"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(os.listdir(tmp_path)) == ["descriptor.json"]
+
+
+def test_unknown_design_profile_exits_1(tmp_path, capsys):
+    inp = write_descriptor(tmp_path, {**DESIGN_M8_B3PI, "profile": {"kind": "gauss"}})
+    assert cli.main(["design", "--input", inp, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: design profile must be")
+    assert sorted(os.listdir(tmp_path)) == ["descriptor.json"]
+
+
+@pytest.mark.parametrize("zero_im", [-2.5, -1.25])
+def test_report_with_infinite_values(tmp_path, zero_im):
+    # N (x - a) / (x + i)^2, a = i zero_im: k < 0 for x^2 > 20 at -2.5; at -1.25 k > 0 everywhere,
+    # and both minima are 0 at inf
+    state = {**EXAMPLE_ONE, "zeros": [{"re": 0.0, "im": zero_im, "mult": 1}]}
+    inp = write_descriptor(tmp_path, state)
+    assert cli.main(["analyze", "--input", inp, "--output", str(tmp_path / "out"), "--samples", "11"]) == 0
+    text = (tmp_path / "out_report.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    backflow = payload["backflow"]
+    if zero_im == -2.5:
+        (lo, left), (right, hi) = backflow["intervals"]
+        assert (lo, hi) == ("-inf", "inf")
+        assert left == pytest.approx(-math.sqrt(20), rel=1e-12) and right == pytest.approx(math.sqrt(20), rel=1e-12)
+        assert '"-inf"' in text and '"inf"' in text
+    else:
+        assert backflow["intervals"] == [] and backflow["min_wavenumber"] == backflow["min_current"] == 0.0
+        assert backflow["min_wavenumber_location"] == backflow["min_current_location"] == "inf"
+
+
 def test_overflowing_field_exits_2(tmp_path, capsys):
     # far out psi's numerator and denominator products overflow to inf / inf, though |psi| ~ N/|x|
     # is finite: a numerical failure that writes no file, not NaN rows

@@ -78,8 +78,7 @@ class TestConstruction:
 
         monkeypatch.setattr(oracle, "norm_quadrature", refuse)
         assert example_one(-0.25j).norm_constant == pytest.approx(example_one_norm(-0.25j), rel=1e-12)
-        problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 8, (cw.Root(-3j * math.pi, 9),), math.pi)
-        assert pg.design_wavefunction(problem).wavefunction.norm_constant > 0
+        assert pg.design_wavefunction(pg.exp_design_problem(8, 3 * math.pi, math.pi)).wavefunction.norm_constant > 0
 
 
 def mp_norm_integral(spec: cw.RationalSpec):
@@ -338,8 +337,7 @@ class TestDensityCriticalPoints:
 
 def exp_design(m: int, b: float) -> cw.LineWaveFunction:
     """exp(-ix) on (-pi, pi) with an order-(m+1) pole at -ib."""
-    problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (cw.Root(-1j * b, m + 1),), math.pi)
-    return pg.design_wavefunction(problem).wavefunction
+    return pg.design_wavefunction(pg.exp_design_problem(m, b, math.pi)).wavefunction
 
 
 def mp_wavenumber(wf: cw.LineWaveFunction, slope: bool = False):
@@ -380,8 +378,7 @@ class TestHighOrderDesigns:
         # the full degree-20 numerator, whose top coefficients are far below its
         # peak, and the first 21 Taylor coefficients of prod (z - a) about the pole
         m, b = 20, 15 * math.pi
-        problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (cw.Root(-1j * b, m + 1),), math.pi)
-        report = pg.design_wavefunction(problem)
+        report = pg.design_wavefunction(pg.exp_design_problem(m, b, math.pi))
         assert len(report.numerator.coeffs) == m + 1
         wf = report.wavefunction
         (term,) = cw.momentum_spectrum(wf).terms

@@ -11,20 +11,11 @@ from backflow.errors import SpecViolation
 from backflow.polyring import Series, poly_from_roots, series_quotient
 
 
-def exp_design_problem(m: int, b: float, x0: float) -> pg.PadeProblem:
-    return pg.PadeProblem(
-        profile_coeffs=pg.exp_profile_coeffs(-1.0),
-        numerator_degree=m,
-        poles=(Root(-1j * b, m + 1),),
-        half_width=x0,
-    )
-
-
 class TestPadeNumerator:
     def test_exp_profile_closed_form(self):
         # single pole of order m+1 at -ib: alpha_k = sum_l C(m+1,l) (ib)^(m+1-l) (-i)^(k-l)/(k-l)!
         m, b = 8, 3 * math.pi
-        alpha = pg.pade_numerator(exp_design_problem(m, b, math.pi)).coeffs
+        alpha = pg.pade_numerator(pg.exp_design_problem(m, b, math.pi)).coeffs
         for k in range(m + 1):
             expect = sum(
                 math.comb(m + 1, l)
@@ -112,7 +103,7 @@ class TestDesign:
                 assert abs(got - want) <= 1e-10 * scale
 
     def test_reconstruction_matches_convolution(self):
-        report = pg.design_wavefunction(exp_design_problem(8, 3 * math.pi, math.pi))
+        report = pg.design_wavefunction(pg.exp_design_problem(8, 3 * math.pi, math.pi))
         A = report.numerator
         recon = poly_from_roots(report.wavefunction.spec.zeros)
         lead = A.coeffs[-1]
@@ -121,21 +112,21 @@ class TestDesign:
 
     def test_error_decreases_with_pole_distance(self):
         errs = [
-            pg.design_wavefunction(exp_design_problem(8, b, math.pi)).max_error_on_interval
+            pg.design_wavefunction(pg.exp_design_problem(8, b, math.pi)).max_error_on_interval
             for b in (3 * math.pi, 6 * math.pi, 12 * math.pi, 15 * math.pi)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_amplitude_ratio_comparison(self):
-        rep3 = pg.design_wavefunction(exp_design_problem(8, 3 * math.pi, math.pi))
-        rep15 = pg.design_wavefunction(exp_design_problem(8, 15 * math.pi, math.pi))
+        rep3 = pg.design_wavefunction(pg.exp_design_problem(8, 3 * math.pi, math.pi))
+        rep15 = pg.design_wavefunction(pg.exp_design_problem(8, 15 * math.pi, math.pi))
         assert rep15.max_error_on_interval < rep3.max_error_on_interval
         assert 1e4 < rep15.amplitude_ratio / rep3.amplitude_ratio < 1e6
         assert rep3.amplitude_ratio >= 1
         assert rep15.amplitude_ratio >= 1
 
     def test_designed_state_tracks_profile(self):
-        report = pg.design_wavefunction(exp_design_problem(8, 15 * math.pi, math.pi))
+        report = pg.design_wavefunction(pg.exp_design_problem(8, 15 * math.pi, math.pi))
         wf = report.wavefunction
         scale = wf.norm_constant / abs(report.numerator.coeffs[-1])
         for x in (-1.5, -0.4, 0.0, 0.8, 2.0):
@@ -144,7 +135,7 @@ class TestDesign:
             assert got == pytest.approx(want, rel=2e-3)
 
     def test_designed_state_backflows_across_interval(self):
-        report = pg.design_wavefunction(exp_design_problem(8, 15 * math.pi, math.pi))
+        report = pg.design_wavefunction(pg.exp_design_problem(8, 15 * math.pi, math.pi))
         intervals = cw.backflow_intervals(report.wavefunction).intervals
         covered = sum(
             max(0.0, min(hi, math.pi) - max(lo, -math.pi)) for lo, hi in intervals
@@ -154,13 +145,56 @@ class TestDesign:
     def test_spectrum_positivity_inherited(self):
         from backflow import oracle
 
-        report = pg.design_wavefunction(exp_design_problem(4, 8.0, 1.0))
+        report = pg.design_wavefunction(pg.exp_design_problem(4, 8.0, 1.0))
         wf = report.wavefunction
         sp = cw.momentum_spectrum(wf)
         peak = max(abs(cw.eval_spectrum(sp, p)) for p in np.linspace(0.05, 12, 150))
         for p in (-0.5, -2.0, -7.0):
             neg = oracle.fourier_quadrature(wf, p, tol=1e-9).value
             assert abs(neg) < 1e-6 * peak
+
+
+class TestOnePath:
+    def test_one_numerator_solve_per_design(self, monkeypatch):
+        calls, solve = [], pg.pade_numerator
+
+        def counted(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(pg, "pade_numerator", counted)
+        problems = [pg.exp_design_problem(m, 6.5 * math.pi, math.pi) for m in (0, 4, 12)]
+        for problem in problems:
+            pg.design_wavefunction(problem)
+        assert calls == problems
+
+    @pytest.mark.parametrize("m", [19, 20])
+    def test_error_of_the_built_state_against_mpmath(self, m):
+        # max |lead(A) prod (x - a) / (x + ib)^(m+1) - p(x)| over the state's own float zeros and
+        # the same 2001 points, at 50 digits
+        report = pg.design_wavefunction(pg.exp_design_problem(m, 15 * math.pi, math.pi))
+        spec = report.wavefunction.spec
+        with mpmath.workdps(50):
+            lead = mpmath.mpc(report.numerator.coeffs[-1])
+            profile = [mpmath.mpc(c) for c in reversed(pg.exp_profile_coeffs(-1.0))]
+
+            def error(x):
+                x = mpmath.mpf(x)
+                top = mpmath.fprod((x - mpmath.mpc(r.position)) ** r.multiplicity for r in spec.zeros)
+                bottom = mpmath.fprod((x - mpmath.mpc(r.position)) ** r.multiplicity for r in spec.poles)
+                return abs(lead * top / bottom - mpmath.polyval(profile, x))
+
+            expect = float(max(error(x) for x in np.linspace(-math.pi, math.pi, 2001)))
+        assert report.max_error_on_interval == pytest.approx(expect, abs=1e-14)
+
+    def test_degree_zero_design(self):
+        # psi = N i 3pi / (x + 3i pi): no zeros, |psi| peaks at x = 0 on the interval
+        report = pg.design_wavefunction(pg.exp_design_problem(0, 3 * math.pi, math.pi))
+        assert report.wavefunction.spec.zeros == ()
+        assert report.amplitude_ratio == 1.0
+        xs = np.linspace(-math.pi, math.pi, 2001)
+        expect = np.max(np.abs(3j * math.pi / (xs + 3j * math.pi) - np.exp(-1j * xs)))
+        assert report.max_error_on_interval == pytest.approx(expect, rel=1e-14)
 
 
 def mp_amplitude_ratio(wf: cw.LineWaveFunction, x0: float) -> float:
@@ -206,7 +240,7 @@ class TestAmplitudeRatio:
 
     @pytest.mark.parametrize("m, b", [(8, 3 * math.pi), (8, 15 * math.pi), (16, 10 * math.pi)])
     def test_designs_against_mpmath(self, m, b):
-        report = pg.design_wavefunction(exp_design_problem(m, b, math.pi))
+        report = pg.design_wavefunction(pg.exp_design_problem(m, b, math.pi))
         expect = mp_amplitude_ratio(report.wavefunction, math.pi)
         assert report.amplitude_ratio == pytest.approx(expect, rel=1e-12)
 

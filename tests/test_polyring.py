@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from backflow import padegen as pg
 from backflow import polyring
-from backflow.contwave import Root
 from backflow.errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 from backflow.polyring import (
     Poly,
@@ -16,7 +15,7 @@ from backflow.polyring import (
     Series,
     circle_roots,
     complex_roots,
-    poly_eval,
+    horner,
     poly_from_roots,
     rational_series,
     real_roots,
@@ -40,19 +39,19 @@ def test_poly_from_roots_double():
 
 
 def test_poly_eval_at_root():
-    assert poly_eval(Poly((-1j, 1)), 1j) == 0
+    assert horner(Poly((-1j, 1)).coeffs, 1j) == 0
 
 
 def test_poly_eval_constant():
-    assert poly_eval(Poly((1,)), 3.7 + 2j) == 1
+    assert horner(Poly((1,)).coeffs, 3.7 + 2j) == 1
 
 
 def test_poly_eval_origin():
-    assert poly_eval(Poly((-1, 2j, 1)), 0) == -1
+    assert horner(Poly((-1, 2j, 1)).coeffs, 0) == -1
 
 
 def test_poly_eval_zero_poly():
-    assert poly_eval(Poly(()), 5.0) == 0
+    assert horner(Poly(()).coeffs, 5.0) == 0
 
 
 def test_series_quotient_geometric():
@@ -198,7 +197,7 @@ def test_from_roots_eval_residual(pairs):
     top = max(abs(c) for c in p.coeffs)
     for pos, _ in pairs:
         bound = 1e-10 * top * (1 + abs(pos)) ** p.degree
-        assert abs(poly_eval(p, pos)) < bound
+        assert abs(horner(p.coeffs, pos)) < bound
 
 
 unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -249,9 +248,7 @@ def test_real_roots_recovery(xs):
 def test_newton_polish_stops_at_round_off(monkeypatch):
     # the m = 20, b = 15 pi Pade numerator, whose residuals reach round-off in a few
     # steps while the 1e-16 step test seldom fires
-    numerator = pg.pade_numerator(
-        pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 20, (Root(-15j * math.pi, 21),), math.pi)
-    )
+    numerator = pg.pade_numerator(pg.exp_design_problem(20, 15 * math.pi, math.pi))
     calls, horner = [], polyring.horner
 
     def counted(coeffs, z):

@@ -71,6 +71,28 @@ class TestConstruction:
         # and it aims at the 1e-16 tail itself, with no slack: 5,423 terms for the 4,531 kept
         assert orders[0] <= 5500
 
+    def test_clustered_poles_double_the_order(self, monkeypatch):
+        # two simple poles 1e-3 apart in angle act like one double pole, which the order guess
+        # does not allow for: the first pass falls short of the tail, and the second doubles it
+        orders, series = [], rw.rational_series
+
+        def counted(zeros, poles, center, order):
+            orders.append(order)
+            return series(zeros, poles, center, order)
+
+        monkeypatch.setattr(rw, "rational_series", counted)
+        p1, p2 = 1.01, 1.01 * cmath.exp(1e-3j)
+        spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(p1 + 0j), cw.Root(p2)))
+        raw = rw._raw_taylor_coefficients(spec)
+        assert orders == [3759, 7518]
+        assert len(raw) == 4093
+        # [z^k] z / ((z - p1)(z - p2)) = (p2^-k - p1^-k) / (p1 - p2), k >= 1, at 50 digits
+        with mpmath.workdps(50):
+            mp1, mp2 = mpmath.mpc(p1), mpmath.mpc(p2)
+            ref = [0j] + [complex((mp2**-k - mp1**-k) / (mp1 - mp2)) for k in range(1, len(raw))]
+        peak = max(abs(c) for c in ref)
+        assert max(abs(got - want) for got, want in zip(raw, ref)) <= 1e-13 * peak
+
     @pytest.mark.parametrize("a, n", [(1.1, 6), (1.01, 3)])
     def test_taylor_coefficients_against_mpmath(self, a, n):
         # [z^k] z/(z-a)^n = (-a)^(-n) C(k+n-2, n-1) a^(1-k), k >= 1, at 50 digits

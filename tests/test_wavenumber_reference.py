@@ -2,7 +2,8 @@
 
 local_wavenumber and ring_wavenumber sum one term per root, zeros first, in root
 order, for a scalar and for an array alike. The loops below are that sum written
-out one root at a time, and serve as the reference.
+out one root at a time, and serve as the reference. psi's root products are held
+to their per-root power loop the same way.
 """
 
 import cmath
@@ -44,8 +45,7 @@ def ring_k_loop(wf, xs):
 
 
 def design(m: int, b_over_pi: float):
-    problem = pg.PadeProblem(pg.exp_profile_coeffs(-1.0), m, (Root(-1j * b_over_pi * math.pi, m + 1),), math.pi)
-    return pg.design_wavefunction(problem).wavefunction
+    return pg.design_wavefunction(pg.exp_design_problem(m, b_over_pi * math.pi, math.pi)).wavefunction
 
 
 STATES = {
@@ -106,3 +106,33 @@ def test_cached_root_columns_leave_equality_and_hash():
     spec.root_columns
     assert spec == twin and hash(spec) == hash(twin)
     assert {spec: 1}[twin] == 1
+
+
+class Powers(np.ndarray):
+    """An array that records each exponent it is raised to."""
+
+    taken: list = []
+
+    def __pow__(self, n):
+        Powers.taken.append(n)
+        return super().__pow__(n)
+
+
+@pytest.mark.parametrize("name", ["line-real-zero", "ring-many-roots"])
+def test_products_match_per_root_power_loop(name, monkeypatch):
+    # simple and repeated roots; the points avoid the real zero, where d ** 1 may flip the sign of 0
+    spec = STATES[name]().spec
+    x = np.linspace(-4.0, 4.0, 401) + 0.003
+    z = x + 0j if name.startswith("line") else np.exp(2j * math.pi * x / 8.0)
+    want = []
+    for roots in (spec.zeros, spec.poles):
+        acc = 1.0 + 0j
+        for r in roots:
+            acc = acc * (z - r.position) ** r.multiplicity
+        want.append(acc)
+    monkeypatch.setattr(Powers, "taken", [])
+    got = spec.products(z.view(Powers))
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == w.tobytes()
+    # a simple root is multiplied in as it is, without numpy's general complex power
+    assert sorted(Powers.taken) == sorted(r.multiplicity for r in spec.zeros + spec.poles if r.multiplicity > 1)
