@@ -4,7 +4,9 @@ Everything downstream (residue spectra, Fourier coefficients, Pade
 numerators, backflow interval endpoints) reduces to dense polynomial
 arithmetic at modest degree plus truncated Taylor-series division, one linear
 pole factor at a time (rational_series gives the line's residues and the
-ring's Fourier coefficients).
+ring's Fourier coefficients). rational_series divides each linear factor in
+one pass over a list; series_quotient is the general division, for any
+denominator, kept as the tests' reference.
 Coefficients are plain Python complex numbers in ascending powers; numpy
 handles convolutions, FFTs and companion-matrix eigenvalues. Polynomial roots
 come one way: companion eigenvalues, each Newton-polished, sorted and
@@ -15,6 +17,7 @@ polynomial.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -113,8 +116,9 @@ def horner(coeffs: Sequence[complex], z):
 
 def series_quotient(num: Series, den: Series, order: int) -> Series:
     """First `order` Taylor coefficients of num/den about the shared center, by
-    back-substitution over the den coefficients below `order`: O(order len(den)),
-    so O(order) for a linear factor.
+    back-substitution over the den coefficients below `order`: O(order len(den)).
+    This is the general division, for any denominator; rational_series divides
+    its linear factors itself, and the tests use this as their reference.
 
     Coefficient j equals (num/den)^(j)(center) / j!.
     """
@@ -122,12 +126,12 @@ def series_quotient(num: Series, den: Series, order: int) -> Series:
         raise ValueError("order must be >= 1")
     if num.center != den.center:
         raise ValueError("series centers differ")
-    dmax = max(abs(c) for c in den.coeffs)
-    if abs(den.coeffs[0]) < 1e-14 * dmax:
-        raise ZeroLeadingDenominator(
-            f"denominator constant term {den.coeffs[0]!r} is below 1e-14 of its scale"
-        )
     d0, tail = den.coeffs[0], den.coeffs[1:order]
+    dmax = max(abs(c) for c in den.coeffs)
+    if d0 == 0 or abs(d0) < 1e-14 * dmax:
+        raise ZeroLeadingDenominator(
+            f"denominator constant term {d0!r} is below 1e-14 of its scale"
+        )
     q: list[complex] = []
     for s in num.coeffs[:order] + (0j,) * (order - len(num.coeffs)):
         for c, prev in zip(tail, reversed(q)):
@@ -136,20 +140,47 @@ def series_quotient(num: Series, den: Series, order: int) -> Series:
     return Series(tuple(q), num.center)
 
 
+def _require_finite(values) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("series coefficients must be finite")
+
+
 def rational_series(zeros, poles, center: complex, order: int) -> Series:
     """First `order` Taylor coefficients about `center` of prod (z - a)^m / prod (z - b)^n
     over (a, m) zeros and (b, n) poles (pairs or Root objects). The numerator is
     expanded from the shifted zeros a - center; the poles are divided out one linear
     factor (center - b) + u at a time, so no expanded pole product rounds its small
-    coefficients against its large ones."""
+    coefficients against its large ones.
+
+    Each factor is divided in one pass over a list, q_j = (s_j - 1 * q_(j-1)) / (center - b):
+    the operations series_quotient performs for that two-term denominator, in the
+    same order, so the coefficients agree with it bit for bit. A non-finite
+    coefficient stays non-finite to the end of its pass, so the last one stands
+    for the pass."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     center = complex(center)
     num = poly_from_roots([(a - center, m) for a, m in _root_pairs(zeros)]).coeffs[:order]
-    q = Series(num + (0j,) * (order - len(num)), center)
+    _require_finite(num)
+    q = list(num) + [0j] * (order - len(num))
+    # u's coefficient, complex as series_quotient holds it: 1.0 * prev can differ in a zero's sign
+    unit = 1 + 0j
     for b, n in _root_pairs(poles):
-        factor = Series((center - b, 1.0), center)
+        d0 = center - b
+        _require_finite((d0,))
+        if abs(d0) < 1e-14:  # series_quotient's guard, with the factor's scale max(|d0|, 1)
+            raise ZeroLeadingDenominator(
+                f"denominator constant term {d0!r} is below 1e-14 of its scale"
+            )
         for _ in range(n):
-            q = series_quotient(q, factor, order)
-    return q
+            out: list[complex] = []
+            prev = 0j
+            for s in q:
+                prev = (s - unit * prev) / d0
+                out.append(prev)
+            _require_finite(out[-1:])
+            q = out
+    return Series(tuple(q), center)
 
 
 # ---------------------------------------------------------------------------

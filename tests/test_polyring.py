@@ -79,6 +79,8 @@ def test_series_quotient_single_pole_binomial():
 def test_series_quotient_zero_denominator():
     with pytest.raises(ZeroLeadingDenominator):
         series_quotient(Series((1,)), Series((0, 1)), 3)
+    with pytest.raises(ZeroLeadingDenominator):  # an all-zero denominator has no scale
+        series_quotient(Series((1,)), Series((0j,)), 2)
 
 
 def test_poly_keeps_small_leading_coefficients():
@@ -104,6 +106,13 @@ def test_rational_series_against_mpmath():
 def test_rational_series_without_poles_is_the_shifted_numerator():
     got = rational_series([(1.0, 2)], [], 3.0, 5)
     np.testing.assert_allclose(got.coeffs, (4, 4, 1, 0, 0), atol=1e-15)
+
+
+def test_rational_series_keeps_its_guards():
+    with pytest.raises(ZeroLeadingDenominator):
+        rational_series([(0.0, 1)], [(1.5 - 0.5j, 2)], 1.5 - 0.5j, 8)
+    with pytest.raises(ValueError):
+        rational_series([(0.0, 1)], [(1.5, 3)], 0j, 0)
 
 
 def test_real_roots_quadratic():
@@ -223,6 +232,39 @@ def test_series_quotient_inverts_product(f, g):
     scale = max(abs(c) for c in fp.coeffs)
     for got, want in zip(q.coeffs, expect[:K]):
         assert abs(got - want) <= 1e-12 * max(scale, 1e-12)
+
+
+def _bits(series):
+    return [(c.real.hex(), c.imag.hex()) for c in series.coeffs]
+
+
+def _factor_by_factor(zeros, poles, center, order):
+    """rational_series as a chain of series_quotient calls, one linear factor each."""
+    center = complex(center)
+    num = poly_from_roots([(a - center, m) for a, m in zeros]).coeffs[:order]
+    q = Series(num + (0j,) * (order - len(num)), center)
+    for b, n in poles:
+        factor = Series((center - b, 1.0), center)
+        for _ in range(n):
+            q = series_quotient(q, factor, order)
+    return q
+
+
+root_lists = st.lists(st.tuples(complexish, st.integers(1, 3)), max_size=4)
+
+
+@settings(max_examples=200)
+@given(root_lists, root_lists, complexish, st.integers(1, 64))
+def test_rational_series_matches_series_quotient_bit_for_bit(zeros, poles, center, order):
+    try:
+        want = _factor_by_factor(zeros, poles, center, order)
+    except (ValueError, ZeroLeadingDenominator) as exc:
+        with pytest.raises(type(exc)):
+            rational_series(zeros, poles, center, order)
+        return
+    got = rational_series(zeros, poles, center, order)
+    assert got.center == want.center
+    assert _bits(got) == _bits(want)
 
 
 @settings(max_examples=40)
