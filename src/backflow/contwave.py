@@ -36,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import QuadratureFailure, SingularPoint, SpecViolation
-from .polyring import circle_roots, horner, rational_series
+from .polyring import Root, circle_roots, horner, rational_series
 
 MERGE_TOL = 1e-9
 # Relative accuracy of the quadrature that normalizes a line state.
@@ -55,14 +55,6 @@ _GK = np.array([[0.99145537112081264, 0.94910791234275853, 0.86486442335976907, 
 _GK_X, _GK_W, _GK_G = np.concatenate([_GK * [[-1], [1], [1]], _GK[:, -2::-1]], axis=1)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A zero or pole location with its multiplicity."""
-
-    position: complex
-    multiplicity: int = 1
-
-
 def _integer(value, label: str) -> int:
     """value as an int if it is an integral number (2 or 2.0); a bool, a fraction, inf or NaN is invalid."""
     integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
@@ -72,9 +64,11 @@ def _integer(value, label: str) -> int:
 
 
 def _merged(roots: Iterable[Root], label: str) -> tuple[Root, ...]:
+    """The roots with finite positions and integer multiplicities >= 1, those within MERGE_TOL
+    of an earlier one added to it: every root list that reaches polyring passes here."""
     out: list[Root] = []
-    for r in roots:
-        pos, mult = complex(r.position), _integer(r.multiplicity, f"{label} multiplicity")
+    for pos, mult in roots:
+        pos, mult = complex(pos), _integer(mult, f"{label} multiplicity")
         if mult < 1:
             raise SpecViolation(f"{label} multiplicity must be >= 1, got {mult}")
         if not (math.isfinite(pos.real) and math.isfinite(pos.imag)):

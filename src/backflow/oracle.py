@@ -39,8 +39,7 @@ def _psi(wf):
     since the quadratures call it ~10^4 times and numpy costs ~20x per point; else wf as it is."""
     if hasattr(wf, "period") or not hasattr(wf, "spec"):
         return wf
-    zeros = [(r.position, r.multiplicity) for r in wf.spec.zeros]
-    poles = [(r.position, r.multiplicity) for r in wf.spec.poles]
+    zeros, poles = wf.spec.zeros, wf.spec.poles
     scale = wf.norm_constant * wf.phase
 
     def psi(x):

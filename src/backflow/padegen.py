@@ -26,6 +26,7 @@ from .contwave import (
     LineWaveFunction,
     RationalSpec,
     Root,
+    _merged,
     density_critical_points,
     make_line_wavefunction,
     with_phase,
@@ -36,7 +37,8 @@ from .polyring import Poly, complex_roots, horner, poly_from_roots, root_residua
 
 @dataclass(frozen=True)
 class PadeProblem:
-    """Target Taylor coefficients, numerator order, chosen poles, interval half-width."""
+    """Target Taylor coefficients, numerator order, chosen poles (checked and merged as a
+    RationalSpec's), interval half-width."""
 
     profile_coeffs: tuple[complex, ...]
     numerator_degree: int
@@ -47,7 +49,7 @@ class PadeProblem:
         object.__setattr__(
             self, "profile_coeffs", tuple(complex(c) for c in self.profile_coeffs)
         )
-        object.__setattr__(self, "poles", tuple(self.poles))
+        object.__setattr__(self, "poles", _merged(self.poles, "pole"))
 
     def validate(self) -> None:
         m = self.numerator_degree
@@ -67,7 +69,7 @@ class PadeProblem:
         if not 0 < self.half_width < math.inf:
             raise SpecViolation("design interval half-width must be positive and finite")
         for p in self.poles:
-            if complex(p.position).imag >= 0:
+            if p.position.imag >= 0:
                 raise SpecViolation(
                     f"design pole at {p.position} must lie in the lower half-plane"
                 )
@@ -119,17 +121,13 @@ def design_wavefunction(problem: PadeProblem) -> DesignReport:
     if numerator.degree < 0:
         raise SpecViolation("profile and poles produced an identically zero numerator")
 
-    if numerator.degree == 0:
-        zeros: tuple[Root, ...] = ()
-    else:
-        pairs = complex_roots(numerator)
-        for z, _ in pairs:
-            res = root_residual(numerator, z)
-            if res > 1e-8:
-                raise RootExtractionFailure(
-                    f"numerator root {z} has relative residual {res:.2e}"
-                )
-        zeros = tuple(Root(z, mult) for z, mult in pairs)
+    zeros = complex_roots(numerator) if numerator.degree > 0 else []
+    for z, _ in zeros:
+        res = root_residual(numerator, z)
+        if res > 1e-8:
+            raise RootExtractionFailure(
+                f"numerator root {z} has relative residual {res:.2e}"
+            )
 
     spec = RationalSpec(zeros=zeros, poles=problem.poles)
     wf = make_line_wavefunction(spec)

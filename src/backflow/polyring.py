@@ -12,7 +12,8 @@ handles convolutions, FFTs and companion-matrix eigenvalues. Polynomial roots
 come one way: companion eigenvalues, each Newton-polished, sorted and
 clustered; complex_roots returns them all and real_roots the ones on the real
 axis. circle_roots finds the roots on |z| = 1 of a sampled trigonometric
-polynomial.
+polynomial. Root data is a list of Roots, each the (position, multiplicity)
+pair that poly_from_roots and rational_series unpack.
 """
 
 from __future__ import annotations
@@ -77,29 +78,24 @@ class Series:
         return len(self.coeffs)
 
 
+class Root(NamedTuple):
+    """A zero or pole location with its multiplicity: the (position, multiplicity) pair."""
+
+    position: complex
+    multiplicity: int = 1
+
+
 class RealRoot(NamedTuple):
     value: float
     multiplicity: int
 
 
-def _root_pairs(roots) -> list[tuple[complex, int]]:
-    out = []
-    for r in roots:
-        if hasattr(r, "position"):
-            out.append((complex(r.position), int(r.multiplicity)))
-        else:
-            pos, mult = r
-            out.append((complex(pos), int(mult)))
-    return out
-
-
 def poly_from_roots(roots) -> Poly:
-    """Monic polynomial prod (z - a)**mult over (a, mult) pairs (or Root objects)."""
-    pairs = _root_pairs(roots)
-    if any(m < 1 for _, m in pairs):
-        raise ValueError("root multiplicities must be >= 1")
+    """Monic polynomial prod (z - a)**mult over Roots, (a, mult) pairs."""
     acc = np.array([1.0 + 0j])
-    for pos, mult in pairs:
+    for pos, mult in roots:
+        if mult < 1:
+            raise ValueError("root multiplicities must be >= 1")
         factor = np.array([-pos, 1.0 + 0j])
         for _ in range(mult):
             acc = np.convolve(acc, factor)
@@ -147,7 +143,7 @@ def _require_finite(values) -> None:
 
 def rational_series(zeros, poles, center: complex, order: int) -> Series:
     """First `order` Taylor coefficients about `center` of prod (z - a)^m / prod (z - b)^n
-    over (a, m) zeros and (b, n) poles (pairs or Root objects). The numerator is
+    over the Roots, (a, m) and (b, n) pairs, of the zeros and poles. The numerator is
     expanded from the shifted zeros a - center; the poles are divided out one linear
     factor (center - b) + u at a time, so no expanded pole product rounds its small
     coefficients against its large ones.
@@ -160,12 +156,12 @@ def rational_series(zeros, poles, center: complex, order: int) -> Series:
     if order < 1:
         raise ValueError("order must be >= 1")
     center = complex(center)
-    num = poly_from_roots([(a - center, m) for a, m in _root_pairs(zeros)]).coeffs[:order]
+    num = poly_from_roots([(a - center, m) for a, m in zeros]).coeffs[:order]
     _require_finite(num)
     q = list(num) + [0j] * (order - len(num))
     # u's coefficient, complex as series_quotient holds it: 1.0 * prev can differ in a zero's sign
     unit = 1 + 0j
-    for b, n in _root_pairs(poles):
+    for b, n in poles:
         d0 = center - b
         _require_finite((d0,))
         if abs(d0) < 1e-14:  # series_quotient's guard, with the factor's scale max(|d0|, 1)
@@ -260,9 +256,9 @@ def real_roots(p: Poly) -> list[RealRoot]:
     return [RealRoot(x, mult) for x, mult in _cluster(xs)]
 
 
-def complex_roots(p: Poly) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities (clustered), unordered pairs sorted by real part."""
-    return _cluster(sorted(_companion_roots(p.coeffs), key=lambda z: (z.real, z.imag)))
+def complex_roots(p: Poly) -> list[Root]:
+    """All complex roots with multiplicities (clustered), sorted by real part."""
+    return [Root(z, m) for z, m in _cluster(sorted(_companion_roots(p.coeffs), key=lambda z: (z.real, z.imag)))]
 
 
 def circle_roots(samples, degree: int, size) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,20 @@ class TestDesign:
         }
         inp = write_descriptor(tmp_path, design, "design.json")
         assert cli.main(["design", "--input", inp, "--output", str(tmp_path / "x")]) == 1
+
+    def test_infinite_pole_exits_1(self, tmp_path, capsys):
+        # JSON reads -1e400 as -inf: the descriptor is rejected before any numerics run
+        inp = tmp_path / "design.json"
+        inp.write_text(
+            '{"profile": {"kind": "exp", "kappa": -1.0}, "m": 3, "x0": 1.0,'
+            ' "poles": [{"re": 0.0, "im": -1e400, "mult": 4}]}',
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["design", "--input", str(inp), "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: pole position must be finite")
+        assert sorted(os.listdir(tmp_path)) == ["design.json"]
 
     def test_overflowing_report_exits_2(self, tmp_path, capsys):
         # x0 = 1e200 is finite, but the interval overflows the report numbers to NaN: a numerical

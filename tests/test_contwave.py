@@ -67,6 +67,16 @@ class TestConstruction:
         (pole,) = cw.RationalSpec(poles=(cw.Root(-1j, mult),)).poles
         assert type(pole.multiplicity) is int and pole.multiplicity == 2
 
+    @pytest.mark.parametrize("mult", [0, -1])
+    def test_multiplicity_below_one_rejected(self, mult):
+        with pytest.raises(SpecViolation, match="zero multiplicity must be >= 1"):
+            cw.RationalSpec(zeros=(cw.Root(-0.25j, mult),), poles=(cw.Root(-1j, 2),))
+
+    @pytest.mark.parametrize("position", [complex(math.nan, -1), complex(0, -math.inf), complex(math.inf, -1)])
+    def test_non_finite_position_rejected(self, position):
+        with pytest.raises(SpecViolation, match="pole position must be finite"):
+            cw.RationalSpec(poles=(cw.Root(position, 2),))
+
     def test_duplicate_roots_merge(self):
         spec = cw.RationalSpec(poles=(cw.Root(-1j), cw.Root(-1j + 1e-12)))
         assert len(spec.poles) == 1
@@ -509,6 +519,10 @@ class TestProperties:
             assert cw.probability_current(rotated, x) == pytest.approx(
                 cw.probability_current(wf, x), rel=1e-10
             )
+
+    def test_zero_phase_rejected(self):
+        with pytest.raises(ValueError, match="phase must be nonzero"):
+            cw.with_phase(example_one(0.3 - 0.9j), 0)
 
     def test_translation_covariance(self):
         a, shift = 0.4 - 1.1j, 2.5

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import math
 from pathlib import Path
 
@@ -81,6 +82,15 @@ class TestPhaseGradient:
     def test_example_one_at_origin(self):
         wf = example_one()
         assert oracle.phase_gradient_fd(wf, 0.0, 1e-5) == pytest.approx(-2.0, abs=1e-4)
+
+    def test_unwraps_across_the_branch_cut(self):
+        # turned by -i, example one's phase at the origin is -pi: the samples straddle the cut
+        wf = example_one()
+        turned = cw.with_phase(wf, -1j)
+        assert cmath.phase(turned(1e-5)) > 3 and cmath.phase(turned(-1e-5)) < -3
+        got = oracle.phase_gradient_fd(turned, 0.0)
+        assert got == pytest.approx(oracle.phase_gradient_fd(wf, 0.0), abs=1e-9)
+        assert got == pytest.approx(-2.0, abs=1e-4)
 
     def test_straddling_real_zero_raises(self):
         spec = cw.RationalSpec(zeros=(cw.Root(1.0),), poles=(cw.Root(-1j, 2),))

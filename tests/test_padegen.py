@@ -60,6 +60,34 @@ class TestPadeNumerator:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "pole, message",
+        [
+            (Root(complex(math.nan, -1), 2), "pole position must be finite"),
+            (Root(complex(0, -math.inf), 2), "pole position must be finite"),
+            (Root(-math.inf * 1j, 2), "pole position must be finite"),
+            (Root(-2j, 0), "pole multiplicity must be >= 1"),
+        ],
+    )
+    def test_bad_pole_is_a_spec_violation(self, pole, message):
+        with pytest.raises(SpecViolation, match=message):
+            pg.PadeProblem(pg.exp_profile_coeffs(-1.0), 3, (pole,), 1.0)
+
+    def test_design_poles_are_merged(self):
+        problem = pg.PadeProblem((1.0, 0.5), 1, ((-2j, 2.0), Root(-2j + 1e-12)), 1.0)
+        assert problem.poles == (Root(-2j, 3),)
+        assert type(problem.poles[0].multiplicity) is int
+
+    def test_negative_degree_rejected(self):
+        problem = pg.PadeProblem((1.0, 0.5), -1, (Root(-2j, 2),), 1.0)
+        with pytest.raises(SpecViolation, match="numerator degree must be >= 0"):
+            pg.pade_numerator(problem)
+
+    def test_short_profile_rejected(self):
+        problem = pg.PadeProblem((1.0, 0.5), 2, (Root(-2j, 4),), 1.0)
+        with pytest.raises(SpecViolation, match=r"need at least m\+1=3 profile coefficients, got 2"):
+            pg.pade_numerator(problem)
+
     def test_upper_pole_rejected(self):
         with pytest.raises(SpecViolation):
             pg.pade_numerator(
@@ -186,6 +214,11 @@ class TestOnePath:
 
             expect = float(max(error(x) for x in np.linspace(-math.pi, math.pi, 2001)))
         assert report.max_error_on_interval == pytest.approx(expect, abs=1e-14)
+
+    def test_zero_profile_rejected(self):
+        problem = pg.PadeProblem((0, 0, 0), 2, (Root(-2j, 3),), 1.0)
+        with pytest.raises(SpecViolation, match="identically zero numerator"):
+            pg.design_wavefunction(problem)
 
     def test_degree_zero_design(self):
         # psi = N i 3pi / (x + 3i pi): no zeros, |psi| peaks at x = 0 on the interval

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import backflow
+from backflow import contwave
 from backflow import padegen as pg
 from backflow import polyring
 from backflow.errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 from backflow.polyring import (
     Poly,
     RealRoot,
+    Root,
     Series,
     circle_roots,
     complex_roots,
@@ -182,6 +185,21 @@ def test_circle_roots_rejects_a_higher_degree():
         circle_roots(samples, 8, np.ones(16))
 
 
+def test_root_is_the_pair_polyring_reads():
+    r = Root(0.5 - 1j, 2)
+    assert r == (0.5 - 1j, 2)
+    pos, mult = r
+    assert (pos, mult) == (r.position, r.multiplicity) == (0.5 - 1j, 2)
+    assert Root(1j) == Root(position=1j, multiplicity=1)
+    assert backflow.Root is contwave.Root is Root
+    assert poly_from_roots([r]) == poly_from_roots([(0.5 - 1j, 2)])
+
+
+def test_complex_roots_returns_roots():
+    got = complex_roots(poly_from_roots([(1 + 2j, 1), (-0.5j, 2)]))
+    assert got and all(isinstance(r, Root) for r in got)
+
+
 def test_complex_roots_simple():
     p = poly_from_roots([(1 + 2j, 1), (-0.5j, 2)])
     got = complex_roots(p)
@@ -197,10 +215,14 @@ def test_complex_roots_simple():
 complexish = st.complex_numbers(
     max_magnitude=5.0, allow_nan=False, allow_infinity=False
 )
+# root data as plain (position, multiplicity) pairs and as Roots, mixed in one list
+root_lists = st.lists(
+    st.tuples(complexish, st.integers(1, 3)) | st.builds(Root, complexish, st.integers(1, 3)), max_size=4
+)
 
 
 @settings(max_examples=60)
-@given(st.lists(st.tuples(complexish, st.integers(1, 3)), max_size=4))
+@given(root_lists)
 def test_from_roots_eval_residual(pairs):
     p = poly_from_roots(pairs)
     top = max(abs(c) for c in p.coeffs)
@@ -248,9 +270,6 @@ def _factor_by_factor(zeros, poles, center, order):
         for _ in range(n):
             q = series_quotient(q, factor, order)
     return q
-
-
-root_lists = st.lists(st.tuples(complexish, st.integers(1, 3)), max_size=4)
 
 
 @settings(max_examples=200)

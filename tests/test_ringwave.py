@@ -55,6 +55,12 @@ class TestConstruction:
         with pytest.raises(SpecViolation):
             rw.make_ring_wavefunction(spec)
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_period_must_be_positive_and_finite(self, period):
+        spec = cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.5 + 0j, 3),))
+        with pytest.raises(SpecViolation, match="period must be positive"):
+            rw.make_ring_wavefunction(spec, period)
+
     def test_one_series_quotient_at_radius_1_01(self, monkeypatch):
         # the order guess allows for the k^(n-1) growth of an order-n pole, so
         # the Taylor engine makes one pass at one order, with no doubling
