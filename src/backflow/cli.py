@@ -294,9 +294,7 @@ def _parse_design_descriptor(obj: dict) -> pg.PadeProblem:
     m = cw._integer(obj.get("m"), "design m")
     x0 = _number(obj.get("x0"), "design x0")
     poles = _roots_from_json(obj.get("poles", []), "pole")
-    problem = pg.PadeProblem(coeffs, m, poles, x0)
-    problem.validate()
-    return problem
+    return pg.PadeProblem(coeffs, m, poles, x0)
 
 
 def _design(problem: pg.PadeProblem, xs: np.ndarray):

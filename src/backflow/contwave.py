@@ -210,20 +210,19 @@ def make_line_wavefunction(spec: RationalSpec) -> LineWaveFunction:
 
 
 def _chart_norm_integral(spec: RationalSpec) -> float:
-    """integral |f|^2 dx on the circle x = c + s tan(theta/2) of _line_chart, from the root offsets
-    (r - c)/s = d + iw, never from x: with q = |sin(theta/2) - (d + iw) cos(theta/2)|^2, |f|^2 dx =
-    s^(2(m-n)+1)/2 cos^(2(n-m)-2)(theta/2) prod q^(+-mult) dtheta. G7/K15 panels break on a 12-panel
-    grid and at each root's theta_r = 2 atan(d) +- 4^j 2|w|/(1+d^2); rounds bisect those over their
-    share of 0.1 NORM_TOL |total|. Nodes are tau about the nearest theta_r: in theta, a 1e-6 peak loses 1e-11."""
-    positions = np.array([r.position for r in spec.zeros + spec.poles])
-    c, s = _centre_scale(positions)
-    zeta = (positions - c) / s
-    power = np.array([r.multiplicity for r in spec.zeros] + [-r.multiplicity for r in spec.poles])[:, None, None]
+    """integral |f|^2 dx on the circle x = c + s tan(theta/2) of _line_chart, from its root offsets
+    zeta = d + iw, centres theta_r = 2 atan(d) and signed multiplicities, never from x: with
+    q = |sin(theta/2) - zeta cos(theta/2)|^2, |f|^2 dx = s^(2(m-n)+1)/2 cos^(2(n-m)-2)(theta/2) prod q^mult
+    dtheta. G7/K15 panels break on a 12-panel grid and at each theta_r +- 4^j 2|w|/(1+d^2); rounds bisect
+    those over their share of 0.1 NORM_TOL |total|. Nodes are tau about the nearest theta_r: in theta, a
+    1e-6 peak loses 1e-11."""
+    chart = _line_chart(spec)
+    zeta, centre, power, s = chart.zeta, chart.centre, chart.mult[:, None, None], chart.scale
     tail = 2 * (spec.n - spec.m) - 2
-    centre, width = 2 * np.arctan(zeta.real), 2 * np.abs(zeta.imag) / (1 + zeta.real**2)
+    width = 2 * np.abs(zeta[:, 0].imag) / (1 + zeta[:, 0].real**2)
     sin0, cos0 = np.sin(centre / 2), np.cos(centre / 2)
     # sin(theta/2) - zeta cos(theta/2) = cos(tau/2) at0 + sin(tau/2) turn0, per (root, centre)
-    at0, turn0 = (sin0 - cos0 * zeta[:, None])[..., None], (cos0 + sin0 * zeta[:, None])[..., None]
+    at0, turn0 = (sin0 - cos0 * zeta)[..., None], (cos0 + sin0 * zeta)[..., None]
     grades = width[:, None] * 4.0 ** np.arange(32)
     keep = (grades > 0) & (grades < 2 * math.pi)
     points = np.concatenate([np.linspace(-math.pi, math.pi, 12, endpoint=False), centre,
@@ -340,9 +339,11 @@ class _Chart(NamedTuple):
     K: int
     zeta: np.ndarray  # R x 1
     centre: np.ndarray  # R
+    mult: np.ndarray  # R, + for a zero, - for a pole
     coef: np.ndarray  # 3 x R x 3
     frame: Callable
     to_x: Callable
+    scale: float  # 1 / lam at theta = 0: s on the line, L / (2 pi) on the ring
     period: float | None  # None on the line, whose theta = pi is x = +-inf
 
 
@@ -468,18 +469,15 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
 
 
-def _centre_scale(positions) -> tuple[float, float]:
-    """c, the mean real part of the positions, and s, their median distance from c."""
+def _line_chart(spec: RationalSpec) -> _Chart:
+    """The line on the circle x = c + s tan(theta/2), c the mean real part of the roots and s their median
+    distance from c. For u + iv = c + s(d + iw), (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2)
+    - (d + iw) cos(theta/2)|^2 = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add
+    nothing to k. The only map of a line state onto the circle: the analysis and the normalizer read it."""
+    positions = [r.position for r in spec.zeros + spec.poles]
     c = sum(z.real for z in positions) / len(positions)
     dist = sorted(abs(z - c) for z in positions)
-    return c, (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2
-
-
-def _line_chart(spec: RationalSpec) -> _Chart:
-    """The line on the circle x = c + s tan(theta/2), c and s from _centre_scale of the roots. For
-    u + iv = c + s(d + iw), (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2) - (d + iw)
-    cos(theta/2)|^2 = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add nothing to k."""
-    c, s = _centre_scale([r.position for r in spec.zeros + spec.poles])
+    s = (dist[(len(dist) - 1) // 2] + dist[len(dist) // 2]) / 2
     _, u, v, _, _, m, _ = (column[:, 0] for column in spec.root_columns)
     d, w = (u - c) / s, v / s
     order = np.argsort(w == 0.0, kind="stable")  # real zeros last
@@ -487,12 +485,12 @@ def _line_chart(spec: RationalSpec) -> _Chart:
     zeta = np.empty(d.shape, complex)
     zeta.real, zeta.imag = d, w
     coef = np.zeros((3, d.size, 3))
-    coef[2] = np.transpose([-m * d / s, -m * d / s, m / s])  # f = 2 m cos(theta/2) e / s
+    coef[2, :, :2], coef[2, :, 2] = (-m * d / s)[:, None], m / s  # f = 2 m cos(theta/2) e / s
     coef[1] = -w[:, None] * coef[2]
     coef[0, :, 0] = m * w
     half = (lambda t: (np.sin(t / 2), np.cos(t / 2), np.cos(t / 2) / 2, -np.sin(t / 2) / 2))
-    return _Chart(0.0, int(np.count_nonzero(w)), zeta[:, None], 2 * np.array([*map(math.atan, d)]), coef, half,
-                  lambda t: c + s * np.tan(t / 2), None)
+    return _Chart(0.0, int(np.count_nonzero(w)), zeta[:, None], 2 * np.array([*map(math.atan, d)]), m, coef, half,
+                  lambda t: c + s * np.tan(t / 2), s, None)
 
 
 def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:

@@ -34,11 +34,14 @@ from .contwave import (
 from .errors import BackflowError, RootExtractionFailure, SpecViolation
 from .polyring import Poly, complex_roots, horner, poly_from_roots, root_residual
 
+# Taylor terms of an exp profile; a design needs m + 1 of them, so an exp design has m <= 47.
+EXP_PROFILE_TERMS = 48
+
 
 @dataclass(frozen=True)
 class PadeProblem:
-    """Target Taylor coefficients, numerator order, chosen poles (checked and merged as a
-    RationalSpec's), interval half-width."""
+    """Target Taylor coefficients, numerator order, chosen poles (merged as a RationalSpec's),
+    interval half-width; checked on construction, as a RationalSpec is."""
 
     profile_coeffs: tuple[complex, ...]
     numerator_degree: int
@@ -50,8 +53,6 @@ class PadeProblem:
             self, "profile_coeffs", tuple(complex(c) for c in self.profile_coeffs)
         )
         object.__setattr__(self, "poles", _merged(self.poles, "pole"))
-
-    def validate(self) -> None:
         m = self.numerator_degree
         n = sum(p.multiplicity for p in self.poles)
         if m < 0:
@@ -91,10 +92,10 @@ class DesignReport:
     amplitude_ratio: float
 
 
-def exp_profile_coeffs(kappa: float, count: int = 48) -> tuple[complex, ...]:
-    """Taylor coefficients of exp(i kappa x); kappa = -1 gives the canonical
-    backflowing profile with phase gradient -1 everywhere."""
-    return tuple((1j * kappa) ** k / math.factorial(k) for k in range(count))
+def exp_profile_coeffs(kappa: float) -> tuple[complex, ...]:
+    """The first EXP_PROFILE_TERMS Taylor coefficients of exp(i kappa x); kappa = -1 gives the
+    canonical backflowing profile with phase gradient -1 everywhere."""
+    return tuple((1j * kappa) ** k / math.factorial(k) for k in range(EXP_PROFILE_TERMS))
 
 
 def exp_design_problem(m: int, b: float, x0: float) -> PadeProblem:
@@ -104,7 +105,6 @@ def exp_design_problem(m: int, b: float, x0: float) -> PadeProblem:
 
 def pade_numerator(problem: PadeProblem) -> Poly:
     """alpha_k = sum_{l<=k} beta_l p_(k-l) for k = 0..m, beta from the pole product."""
-    problem.validate()
     m, beta, p = problem.numerator_degree, poly_from_roots(problem.poles).coeffs, problem.profile_coeffs
     alpha = [sum(beta[l] * p[k - l] for l in range(min(k, len(beta) - 1) + 1)) for k in range(m + 1)]
     return Poly(tuple(alpha))

@@ -90,6 +90,14 @@ class TestConstruction:
         assert example_one(-0.25j).norm_constant == pytest.approx(example_one_norm(-0.25j), rel=1e-12)
         assert pg.design_wavefunction(pg.exp_design_problem(8, 3 * math.pi, math.pi)).wavefunction.norm_constant > 0
 
+    def test_normalizes_on_the_line_chart(self, monkeypatch):
+        # one map of a line state onto the circle, read by the normalizer as by the analysis
+        charts = []
+        line_chart = cw._line_chart
+        monkeypatch.setattr(cw, "_line_chart", lambda spec: charts.append(spec) or line_chart(spec))
+        wf = example_one(-0.25j)
+        assert charts == [wf.spec]
+
 
 def mp_norm_integral(spec: cw.RationalSpec):
     """integral |f|^2 dx at 40 digits from the same float root data, broken at each
@@ -112,8 +120,8 @@ def example_one_moved(scale: float, offset: float = 0.0) -> cw.RationalSpec:
 
 
 class TestChartNormalization:
-    """Valid states whose |f|^2 the oracle's tan-mapped quadrature cannot integrate
-    (it raises QuadratureFailure); the chart quadrature must match mpmath."""
+    """The chart quadrature against mpmath: on valid states whose |f|^2 the oracle's tan-mapped
+    quadrature cannot integrate (it raises QuadratureFailure), and on charts that reorder the roots."""
 
     @pytest.mark.parametrize(
         "scale, offset", [(1e-8, 0.0), (1e12, 0.0), (1e-8, 1e6), (1.0, 1e6), (1e12, 1e6)]
@@ -127,6 +135,17 @@ class TestChartNormalization:
         spec = cw.RationalSpec(zeros=(cw.Root(0.3 - 0.2j),), poles=(cw.Root(-1e-6j), cw.Root(1 - 1j)))
         expect = float(mp_norm_integral(spec))
         assert expect == pytest.approx(204205.72159746366, rel=1e-15)
+        assert cw.make_line_wavefunction(spec).norm_constant**-2 == pytest.approx(expect, rel=1e-11)
+
+    def test_real_zero_ordered_last(self):
+        spec = cw.RationalSpec(zeros=(cw.Root(0.5), cw.Root(0.3 - 0.25j)), poles=(cw.Root(-1j, 3),))
+        assert cw._line_chart(spec).zeta[-1, 0].imag == 0
+        expect = float(mp_norm_integral(spec))
+        assert cw.make_line_wavefunction(spec).norm_constant**-2 == pytest.approx(expect, rel=1e-11)
+
+    def test_far_pole_design(self):
+        spec = pg.design_wavefunction(pg.exp_design_problem(5, 10 * math.pi, math.pi)).wavefunction.spec
+        expect = float(mp_norm_integral(spec))
         assert cw.make_line_wavefunction(spec).norm_constant**-2 == pytest.approx(expect, rel=1e-11)
 
 
