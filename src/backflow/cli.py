@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -47,14 +46,6 @@ BLOCK = 512
 
 # ---------------------------------------------------------------------------
 # descriptors
-
-
-@dataclass(frozen=True)
-class WaveFunctionDescriptor:
-    kind: str  # "line" | "ring"
-    zeros: tuple[cw.Root, ...]
-    poles: tuple[cw.Root, ...]
-    period: float = 1.0
 
 
 def _read_json_object(path: str) -> dict:
@@ -87,57 +78,39 @@ def _complex_entries(items, label: str) -> list[tuple[complex, dict]]:
     ]
 
 
-def _roots_from_json(items, label: str) -> tuple[cw.Root, ...]:
-    return tuple(
-        cw.Root(z, cw._integer(item.get("mult", 1), f"{label} multiplicity"))
+def _roots_from_json(items, label: str) -> list[dict]:
+    """{re, im, mult} with float parts and an int multiplicity, for each entry of a JSON root list."""
+    return [
+        {"re": z.real, "im": z.imag, "mult": cw._integer(item.get("mult", 1), f"{label} multiplicity")}
         for z, item in _complex_entries(items, label)
-    )
+    ]
 
 
-def parse_descriptor(obj: dict) -> WaveFunctionDescriptor:
+def _root_pairs(roots: list[dict]) -> list[tuple[complex, int]]:
+    return [(complex(r["re"], r["im"]), r["mult"]) for r in roots]
+
+
+def parse_descriptor(obj: dict) -> dict:
+    """The checked descriptor that analyze echoes: kind, zeros and poles as {re, im, mult} in input
+    order (repeats unmerged), then period for a ring."""
     kind = obj.get("kind")
     if kind not in ("line", "ring"):
         raise SpecViolation(f"descriptor kind must be 'line' or 'ring', got {kind!r}")
     zeros = _roots_from_json(obj.get("zeros", []), "zero")
     poles = _roots_from_json(obj.get("poles", []), "pole")
     period = _number(obj.get("period", 1.0), "period")
-    return WaveFunctionDescriptor(kind, zeros, poles, period)
+    return {"kind": kind, "zeros": zeros, "poles": poles, **({"period": period} if kind == "ring" else {})}
 
 
-def _roots_json(roots) -> list[dict]:
-    return [{"re": r.position.real, "im": r.position.imag, "mult": r.multiplicity} for r in roots]
-
-
-def descriptor_to_json(d: WaveFunctionDescriptor) -> dict:
-    out = {"kind": d.kind, "zeros": _roots_json(d.zeros), "poles": _roots_json(d.poles)}
-    if d.kind == "ring":
-        out["period"] = d.period
-    return out
-
-
-def build_wavefunction(d: WaveFunctionDescriptor):
-    spec = cw.RationalSpec(zeros=d.zeros, poles=d.poles)
-    if d.kind == "line":
+def build_wavefunction(descriptor: dict):
+    spec = cw.RationalSpec(zeros=_root_pairs(descriptor["zeros"]), poles=_root_pairs(descriptor["poles"]))
+    if descriptor["kind"] == "line":
         return cw.make_line_wavefunction(spec)
-    return rw.make_ring_wavefunction(spec, d.period)
+    return rw.make_ring_wavefunction(spec, descriptor["period"])
 
 
 # ---------------------------------------------------------------------------
 # sampling and output plumbing
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Field rows (x, density, wavenumber, current)."""
-
-    x: np.ndarray
-    density: np.ndarray
-    wavenumber: np.ndarray  # NaN at singular points
-    current: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.diff(self.x) > 0):
-            raise ValueError("sample grid must be strictly increasing")
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -156,7 +129,7 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path: str, header: list[str], columns: list[np.ndarray] | tuple[np.ndarray, ...]) -> None:
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     table = np.column_stack([np.asarray(col, float) for col in columns])
     blocks = (table[i : i + BLOCK] for i in range(0, len(table), BLOCK))
@@ -181,27 +154,24 @@ def _flat_records(value) -> tuple[list[str], list] | None:
     return (keys, values) if numeric and all(type(key) is str for key in keys) else None
 
 
-def _json_chunks(value, depth: int = 0):
-    """json.dumps(value, indent=2, sort_keys=True), nested depth levels deep, in chunks: _flat_records
-    go out by one % template per BLOCK entries, other lists and str-keyed dicts entry by entry, and the
-    rest by json.dumps, re-indented."""
-    pad, records = "\n" + "  " * depth, _flat_records(value)
-    if records:
+def _json_chunks(payload: dict):
+    """json.dumps(payload, indent=2, sort_keys=True) in chunks, a str-keyed payload's values one by one:
+    one that _flat_records accepts goes out by one % template per BLOCK entries, any other by
+    json.dumps, re-indented."""
+    for i, name in enumerate(sorted(payload)):
+        yield ("," if i else "{") + f"\n  {json.dumps(name)}: "
+        records = _flat_records(payload[name])
+        if records is None:
+            yield json.dumps(payload[name], indent=2, sort_keys=True).replace("\n", "\n  ")
+            continue
         keys, values = records
-        fields = ",".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %r" for key in keys)
-        entry = f",{pad}  {{{fields}{pad}  }}"
+        fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %r" for key in keys)
+        entry = f",\n    {{{fields}\n    }}"
         for start in range(0, len(values), BLOCK * len(keys)):
             block = values[start : start + BLOCK * len(keys)]
             yield ("," if start else "[") + (entry * (len(block) // len(keys)))[1:] % tuple(block)
-        yield pad + "]"
-    elif value and (type(value) is list or type(value) is dict and all(type(key) is str for key in value)):
-        keyed = type(value) is dict
-        for i, key in enumerate(sorted(value) if keyed else range(len(value))):
-            yield ("," if i else "{" if keyed else "[") + f"{pad}  " + (f"{json.dumps(key)}: " if keyed else "")
-            yield from _json_chunks(value[key], depth + 1)
-        yield pad + ("}" if keyed else "]")
-    else:
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+        yield "\n  ]"
+    yield "\n}" if payload else "{}"
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -219,7 +189,9 @@ def backflow_report_json(report: cw.BackflowReport) -> dict:
     }
 
 
-def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
+def sample_field(wf, lo: float, hi: float, samples: int) -> tuple[np.ndarray, ...]:
+    """Field columns (x, density, wavenumber, current) on samples points of [lo, hi]; the
+    wavenumber is NaN at singular points."""
     xs = np.linspace(lo, hi, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # far out, psi's products overflow to inf / inf
         k_of = cw.local_wavenumber if isinstance(wf, cw.LineWaveFunction) else rw.ring_wavenumber
@@ -227,19 +199,21 @@ def sample_field(wf, lo: float, hi: float, samples: int) -> SampledField:
         density, js = np.abs(psi) ** 2, cw._current(psi, ks)
     if not np.all(np.isfinite(density)):
         raise BackflowError(f"density is not finite on [{lo!r}, {hi!r}]")
-    return SampledField(xs, density, ks, js)
+    if not np.all(np.diff(xs) > 0):
+        raise ValueError("sample grid must be strictly increasing")
+    return xs, density, ks, js
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _analyze(descriptor: WaveFunctionDescriptor, x_range, samples: int):
+def _analyze(descriptor: dict, x_range, samples: int):
     """Build and analyse a state once: the step analyze and figure share, and the one place
     they tell the line from the ring. Returns the state, its field on x_range (None: the
     default), its spectrum as CSV (header, [axis, |value|, arg]) and JSON terms, and its report."""
     wf = build_wavefunction(descriptor)
-    if descriptor.kind == "line":
+    if descriptor["kind"] == "line":
         x_range = x_range or DEFAULT_LINE_RANGE
         sp = cw.momentum_spectrum(wf)
         header, axis = ["p", "abs_spectrum", "arg_spectrum"], np.linspace(0.0, DEFAULT_P_MAX, samples)
@@ -250,7 +224,7 @@ def _analyze(descriptor: WaveFunctionDescriptor, x_range, samples: int):
         ]
         report = cw.backflow_intervals(wf)
     else:
-        x_range = x_range or (-descriptor.period / 2, descriptor.period / 2)
+        x_range = x_range or (-descriptor["period"] / 2, descriptor["period"] / 2)
         coeffs = rw.ring_spectrum(wf).coeffs
         vals = np.asarray(coeffs)
         header, axis = ["k", "abs_ck", "arg_ck"], np.arange(1, len(vals) + 1, dtype=float)
@@ -263,16 +237,12 @@ def _analyze(descriptor: WaveFunctionDescriptor, x_range, samples: int):
 def cmd_analyze(input_path: str, output_prefix: str, x_range=None, samples: int = DEFAULT_SAMPLES) -> int:
     descriptor = parse_descriptor(_read_json_object(input_path))
     wf, field, spectrum, terms, report = _analyze(descriptor, x_range, samples)
-    write_csv(
-        f"{output_prefix}_field.csv",
-        ["x", "density", "wavenumber", "current"],
-        [field.x, field.density, field.wavenumber, field.current],
-    )
+    write_csv(f"{output_prefix}_field.csv", ["x", "density", "wavenumber", "current"], field)
     write_csv(f"{output_prefix}_spectrum.csv", *spectrum)
     write_json(
         f"{output_prefix}_report.json",
         {
-            "descriptor": descriptor_to_json(descriptor),
+            "descriptor": descriptor,
             "norm_constant": wf.norm_constant,
             "backflow": backflow_report_json(report),
             "spectrum": terms,
@@ -291,10 +261,9 @@ def _parse_design_descriptor(obj: dict) -> pg.PadeProblem:
         raise SpecViolation(
             "design profile must be {'kind': 'exp', 'kappa': ...} or {'coeffs': [{re, im}, ...]}"
         )
-    m = cw._integer(obj.get("m"), "design m")
     x0 = _number(obj.get("x0"), "design x0")
-    poles = _roots_from_json(obj.get("poles", []), "pole")
-    return pg.PadeProblem(coeffs, m, poles, x0)
+    poles = _root_pairs(_roots_from_json(obj.get("poles", []), "pole"))
+    return pg.PadeProblem(coeffs, obj.get("m"), poles, x0)
 
 
 def _design(problem: pg.PadeProblem, xs: np.ndarray):
@@ -325,17 +294,19 @@ def cmd_design(input_path: str, output_prefix: str, samples: int = DEFAULT_SAMPL
         {
             "numerator": [{"re": c.real, "im": c.imag} for c in report.numerator.coeffs],
             **numbers,
-            "zeros": _roots_json(report.wavefunction.spec.zeros),
+            "zeros": [{"re": z.real, "im": z.imag, "mult": n} for z, n in report.wavefunction.spec.zeros],
         },
     )
     return 0
 
 
-# figures 1-3: reference states, sampled on analyze's default range
+# figures 1-3: reference states as --input descriptors, sampled on analyze's default range
 FIGURE_STATES = {
-    1: WaveFunctionDescriptor("line", (cw.Root(-0.25j),), (cw.Root(-1j, 2),)),
-    2: WaveFunctionDescriptor("ring", (cw.Root(0j), cw.Root(math.sqrt(2) + 0j)), ()),
-    3: WaveFunctionDescriptor("ring", (cw.Root(0j),), (cw.Root(1.5 + 0j, 3),)),
+    1: {"kind": "line", "zeros": [{"re": 0.0, "im": -0.25, "mult": 1}], "poles": [{"re": 0.0, "im": -1.0, "mult": 2}]},
+    2: {"kind": "ring", "zeros": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": math.sqrt(2), "im": 0.0, "mult": 1}],
+        "poles": [], "period": 1.0},
+    3: {"kind": "ring", "zeros": [{"re": 0.0, "im": 0.0, "mult": 1}], "poles": [{"re": 1.5, "im": 0.0, "mult": 3}],
+        "period": 1.0},
 }
 # figure 4: exp(-ix) designs with an order-(m+1) pole at -ib for each b
 FIGURE4_M = 8
@@ -351,14 +322,11 @@ def cmd_figure(figure_id: int, output_dir: str, samples: int = DEFAULT_SAMPLES) 
     if figure_id == 4:
         return _figure_designs(prefix, samples)
 
-    wf, field, (header, spectrum), _, report = _analyze(FIGURE_STATES[figure_id], None, samples)
-    write_csv(f"{prefix}_density.csv", ["x", "density"], [field.x, field.density])
-    write_csv(f"{prefix}_wavenumber.csv", ["x", "wavenumber"], [field.x, field.wavenumber])
-    write_csv(
-        f"{prefix}_current.csv",
-        ["x", "current", "abs_current"],
-        [field.x, field.current, np.abs(field.current)],
-    )
+    wf, field, (header, spectrum), _, report = _analyze(parse_descriptor(FIGURE_STATES[figure_id]), None, samples)
+    xs, density, ks, js = field
+    write_csv(f"{prefix}_density.csv", ["x", "density"], [xs, density])
+    write_csv(f"{prefix}_wavenumber.csv", ["x", "wavenumber"], [xs, ks])
+    write_csv(f"{prefix}_current.csv", ["x", "current", "abs_current"], [xs, js, np.abs(js)])
     write_csv(f"{prefix}_spectrum.csv", [header[0], "abs_spectrum", "arg_spectrum"], spectrum)
     write_json(
         f"{prefix}_report.json",
@@ -394,7 +362,7 @@ def _figure_designs(prefix: str, samples: int) -> int:
 def cmd_verify(input_path: str, tol: float = 1e-6) -> int:
     descriptor = parse_descriptor(_read_json_object(input_path))
     wf = build_wavefunction(descriptor)
-    if descriptor.kind == "line":
+    if descriptor["kind"] == "line":
         spectrum = partial(cw.eval_spectrum, cw.momentum_spectrum(wf))
         checks = oracle.verify_line(wf, spectrum, partial(cw.local_wavenumber, wf), tol)
     else:

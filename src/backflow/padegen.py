@@ -26,9 +26,11 @@ from .contwave import (
     LineWaveFunction,
     RationalSpec,
     Root,
+    _integer,
     _merged,
     density_critical_points,
     make_line_wavefunction,
+    validate_line_spec,
     with_phase,
 )
 from .errors import BackflowError, RootExtractionFailure, SpecViolation
@@ -53,7 +55,8 @@ class PadeProblem:
             self, "profile_coeffs", tuple(complex(c) for c in self.profile_coeffs)
         )
         object.__setattr__(self, "poles", _merged(self.poles, "pole"))
-        m = self.numerator_degree
+        m = _integer(self.numerator_degree, "numerator degree")
+        object.__setattr__(self, "numerator_degree", m)
         n = sum(p.multiplicity for p in self.poles)
         if m < 0:
             raise SpecViolation("numerator degree must be >= 0")
@@ -69,11 +72,7 @@ class PadeProblem:
             raise SpecViolation("profile coefficients must be finite")
         if not 0 < self.half_width < math.inf:
             raise SpecViolation("design interval half-width must be positive and finite")
-        for p in self.poles:
-            if p.position.imag >= 0:
-                raise SpecViolation(
-                    f"design pole at {p.position} must lie in the lower half-plane"
-                )
+        validate_line_spec(RationalSpec(poles=self.poles))
 
 
 @dataclass(frozen=True)

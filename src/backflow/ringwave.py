@@ -83,9 +83,10 @@ def _raw_taylor_coefficients(spec: RationalSpec) -> tuple[complex, ...]:
     if not spec.poles:
         return poly_from_roots(spec.zeros).coeffs
     rho = min(abs(b.position) for b in spec.poles)
-    # geometric decay rate 1/rho to the tail criterion, slowed by the k^(n-1) growth of an order-n pole
+    # geometric decay rate 1/rho to the tail criterion, slowed by the k^(n-1) growth of an order-n pole:
+    # n is the total pole order, since n simple poles clustered on one circle grow like one order-n pole
     needed = -math.log(TAIL_REL) / math.log(rho)
-    growth = (max(b.multiplicity for b in spec.poles) - 1) * math.log(needed) / math.log(rho)
+    growth = (spec.n - 1) * math.log(needed) / math.log(rho)
     order = int(needed + growth) + 12 * spec.n + spec.m + 32
     if order > K_CAP:
         raise TruncationFailure(

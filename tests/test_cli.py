@@ -63,13 +63,13 @@ def read_csv(path):
 class TestDescriptors:
     def test_round_trip_is_bitwise(self):
         d = cli.parse_descriptor(EXAMPLE_ONE)
-        again = cli.parse_descriptor(json.loads(json.dumps(cli.descriptor_to_json(d))))
+        again = cli.parse_descriptor(json.loads(json.dumps(d)))
         assert again == d
 
     def test_ring_round_trip_keeps_period(self):
         d = cli.parse_descriptor(EXAMPLE_TWO)
-        again = cli.parse_descriptor(cli.descriptor_to_json(d))
-        assert again.period == d.period
+        again = cli.parse_descriptor(d)
+        assert again["period"] == d["period"]
         assert again == d
 
     def test_bad_kind_rejected(self):
@@ -99,6 +99,21 @@ class TestAnalyze:
         (lo, hi), = report["backflow"]["intervals"]
         assert lo == pytest.approx(-edge, abs=1e-9)
         assert hi == pytest.approx(edge, abs=1e-9)
+
+    def test_report_echoes_repeated_zero_unmerged(self, tmp_path):
+        # the echo is the parsed input: a repeated zero stays two entries, mult 2.0 becomes the int 2,
+        # while the state itself merges the zeros into one of multiplicity 3
+        zero = {"re": 0.0, "im": -0.25}
+        payload = {**EXAMPLE_ONE, "zeros": [{**zero, "mult": 2.0}, zero], "poles": [{"re": 0.0, "im": -1.0, "mult": 4}]}
+        out = str(tmp_path / "repeat")
+        assert cli.main(["analyze", "--input", write_descriptor(tmp_path, payload), "--output", out]) == 0
+        with open(f"{out}_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["descriptor"] == {
+            "kind": "line", "zeros": [{**zero, "mult": 2}, {**zero, "mult": 1}], "poles": payload["poles"],
+        }
+        assert type(report["descriptor"]["zeros"][0]["mult"]) is int
+        assert cli.build_wavefunction(report["descriptor"]).spec.zeros == (cw.Root(-0.25j, 3),)
 
     def test_empty_poles_is_invalid_line_descriptor(self, tmp_path):
         inp = write_descriptor(tmp_path, {"kind": "line", "zeros": [], "poles": []})
@@ -237,13 +252,13 @@ class TestFigure:
 
 
 @pytest.mark.parametrize(
-    "figure_id, payload, x_range",
-    [(1, EXAMPLE_ONE, "-5:5"), (3, EXAMPLE_THREE, "-0.5:0.5")],
-    ids=["figure1", "figure3"],
+    "figure_id, x_range", [(1, "-5:5"), (2, "-0.5:0.5"), (3, "-0.5:0.5")], ids=["figure1", "figure2", "figure3"]
 )
-def test_figure_matches_analyze(tmp_path, figure_id, payload, x_range):
+def test_figure_matches_analyze(tmp_path, figure_id, x_range):
+    # a built-in figure state is a descriptor in the --input format, and analyze of that file is the figure
+    inp = write_descriptor(tmp_path, cli.FIGURE_STATES[figure_id])
     out = str(tmp_path / "state")
-    assert cli.main(["analyze", "--input", write_descriptor(tmp_path, payload), "--output", out, f"--range={x_range}"]) == 0
+    assert cli.main(["analyze", "--input", inp, "--output", out, f"--range={x_range}"]) == 0
     assert cli.main(["figure", "--figure", str(figure_id), "--output", str(tmp_path)]) == 0
     _, field = read_csv(f"{out}_field.csv")
     prefix = os.path.join(str(tmp_path), f"figure{figure_id}")

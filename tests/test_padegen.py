@@ -82,12 +82,21 @@ class TestPadeNumerator:
         with pytest.raises(SpecViolation, match="numerator degree must be >= 0"):
             pg.PadeProblem((1.0, 0.5), -1, (Root(-2j, 2),), 1.0)
 
+    @pytest.mark.parametrize("degree", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(SpecViolation, match="numerator degree must be an integer"):
+            pg.PadeProblem((1.0, 0.5, 0.25, 0.125), degree, (Root(-2j, 4),), 1.0)
+
+    def test_degree_stored_as_int(self):
+        problem = pg.PadeProblem((1.0, 0.5, 0.25, 0.125), np.int64(3), (Root(-2j, 4),), 1.0)
+        assert problem.numerator_degree == 3 and type(problem.numerator_degree) is int
+
     def test_short_profile_rejected(self):
         with pytest.raises(SpecViolation, match=r"need at least m\+1=3 profile coefficients, got 2"):
             pg.PadeProblem((1.0, 0.5), 2, (Root(-2j, 4),), 1.0)
 
     def test_upper_pole_rejected(self):
-        with pytest.raises(SpecViolation):
+        with pytest.raises(SpecViolation, match="must lie strictly in the lower half-plane"):
             pg.pade_numerator(
                 pg.PadeProblem(
                     profile_coeffs=(1.0, 1.0),
