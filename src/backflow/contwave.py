@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -367,14 +367,20 @@ def _numerators(c0, q, n, g, f, K, kinds):
     return k, dk, k * log_slope + dk * prod0
 
 
-def _at(chart: _Chart, theta):
-    """q, n, g, f of the chart's roots at theta, and their theta-derivatives."""
+def _at(chart: _Chart, theta, slopes: bool = True):
+    """q, n, g, f of the chart's roots at theta, the basis (1, cos theta, sin theta) of n, g and f,
+    and their theta-derivatives (None without `slopes`)."""
     P, Q, dP, dQ = chart.frame(theta)
-    u, du, cos, sin = P - chart.zeta * Q, dP - chart.zeta * dQ, np.cos(theta), np.sin(theta)
-    q, dq = u.real**2 + u.imag**2, 2 * (u.real * du.real + u.imag * du.imag)
-    n, g, f = chart.coef @ np.array([np.ones_like(theta), cos, sin])
+    u, cos, sin = P - chart.zeta * Q, np.cos(theta), np.sin(theta)
+    q = u.real**2 + u.imag**2
+    basis = np.array([np.ones_like(theta), cos, sin])
+    n, g, f = chart.coef @ basis
+    if not slopes:
+        return (q, n, g, f), basis, None
+    du = dP - chart.zeta * dQ
+    dq = 2 * (u.real * du.real + u.imag * du.imag)
     dn, dg, df = chart.coef @ np.array([0 * theta, -sin, cos])
-    return (q, n, g, f), (dq, dn, dg, df)
+    return (q, n, g, f), basis, (dq, dn, dg, df)
 
 
 def _polished_roots(chart: _Chart, kinds):
@@ -388,7 +394,7 @@ def _polished_roots(chart: _Chart, kinds):
     degrees = [(K, 2 * K, K + R, R)[k] for k in kinds]
     size = 4 << max(degrees).bit_length()
     grid = (2 * math.pi / size) * np.arange(size)
-    on_grid = np.array(_at(chart, grid)[0])
+    on_grid = np.array(_at(chart, grid, slopes=False)[0])
     # the sums and their sizes in one pass, side by side along the grid axis
     sums = _numerators(np.repeat([c0, abs(c0)], size), *np.concatenate([on_grid, np.abs(on_grid)], -1), K, kinds)
     found = [circle_roots(s[:size], d, s[size:]) for s, d in zip(sums, degrees)]
@@ -401,7 +407,7 @@ def _polished_roots(chart: _Chart, kinds):
     theta = np.concatenate([*found, *[chart.centre] * len(critical)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a start on a zero of psi
         for _ in range(3):
-            (q, n, g, f), (dq, dn, dg, df) = _at(chart, theta)
+            (q, n, g, f), _, (dq, dn, dg, df) = _at(chart, theta)
             kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
             kap = kap + c0
             slope, dslope = _ratio(g[:K], dg[:K], q[:K], dq[:K], 2)
@@ -410,7 +416,8 @@ def _polished_roots(chart: _Chart, kinds):
             dvalue = np.choose(kind, [dkap, dslope, dslope + dkap * log + kap * dlog, dlog])
             step = np.isfinite(value) & np.isfinite(dvalue) & (dvalue != 0)
             theta = theta - np.divide(value, dvalue, out=np.zeros_like(value), where=step)
-    theta = np.remainder(theta + math.pi, 2 * math.pi) - math.pi
+    out = (theta < -math.pi) | (theta >= math.pi)  # wrap only these, so a small theta keeps its digits
+    theta[out] = np.remainder(theta[out] + math.pi, 2 * math.pi) - math.pi
     if line:
         kind[np.abs(theta) >= math.pi - ROOT_MERGE] = -1
     return found, theta, kind
@@ -426,16 +433,13 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     line, K, c0 = chart.period is None, chart.K, chart.c0
     found, theta, kind = _polished_roots(chart, (0, 1, 2))
 
-    def kappa(theta):  # k / lam, the size of its terms a, b cos, c sin, which bounds its round-off, and d/dtheta
-        (q, n, _, _), (dq, dn, _, _) = _at(chart, theta)
-        n_size = np.abs(chart.coef[0, :K]) @ np.abs([np.ones_like(theta), np.cos(theta), np.sin(theta)])
-        kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
-        return c0 + kap, abs(c0) + (n_size / q[:K]).sum(0), dkap
-
     crossing = np.sort(theta[kind == 0])
-    kap, k_size, dkap = kappa(crossing)
+    # k / lam there, the size of its terms a, b cos, c sin, which bounds its round-off, and d/dtheta
+    (q, n, _, _), basis, (dq, dn, _, _) = _at(chart, crossing)
+    kap, dkap = _ratio(n[:K], dn[:K], q[:K], dq[:K], 1)
+    k_size = abs(c0) + ((np.abs(chart.coef[0, :K]) @ np.abs(basis)) / q[:K]).sum(0)
     # a steep crossing is at the round-off of theta, 32 ulps of pi times dk/dtheta, above that of the terms
-    crossing = crossing[np.abs(kap) <= ROUNDOFF_K * k_size + 2**-46 * np.abs(dkap)]
+    crossing = crossing[np.abs(c0 + kap) <= ROUNDOFF_K * k_size + 2**-46 * np.abs(dkap)]
     wrap = -math.inf if line else crossing[-1:] - 2 * math.pi  # the ring is cyclic
     crossing = crossing[np.diff(crossing, prepend=wrap) > ROOT_MERGE]
     x = chart.to_x(crossing).tolist()
@@ -445,7 +449,8 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     # cyclic pieces between crossings; theta = pi bounds one on the line and on a ring without any
     bounds = np.append(crossing, [math.pi] if line or not x else [])
     ends = np.append(bounds[1:], bounds[0] + 2 * math.pi)
-    negative = (kappa(0.5 * (bounds + ends))[0] < 0).tolist()
+    (q, n, _, _), _, _ = _at(chart, 0.5 * (bounds + ends), slopes=False)
+    negative = (c0 + (n[:K] / q[:K]).sum(0) < 0).tolist()
     tangencies = [x[i] for i in range(len(x)) if not (negative[i - 1] or negative[i])]
     intervals = []
     ends_x = x + [math.inf]
@@ -469,11 +474,13 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
 
 
+@lru_cache(maxsize=4)
 def _line_chart(spec: RationalSpec) -> _Chart:
     """The line on the circle x = c + s tan(theta/2), c the mean real part of the roots and s their median
     distance from c. For u + iv = c + s(d + iw), (x-u)^2 + v^2 = s^2 q / cos^2(theta/2) with q = |sin(theta/2)
     - (d + iw) cos(theta/2)|^2 = e^2 + w^2 cos^2(theta/2), and lam = cos^2(theta/2) / s. Real zeros add
-    nothing to k. The only map of a line state onto the circle: the analysis and the normalizer read it."""
+    nothing to k. The only map of a line state onto the circle: the analysis and the normalizer read it,
+    and the last few are kept, so a state's construction and analyses build it once."""
     positions = [r.position for r in spec.zeros + spec.poles]
     c = sum(z.real for z in positions) / len(positions)
     dist = sorted(abs(z - c) for z in positions)
@@ -488,9 +495,16 @@ def _line_chart(spec: RationalSpec) -> _Chart:
     coef[2, :, :2], coef[2, :, 2] = (-m * d / s)[:, None], m / s  # f = 2 m cos(theta/2) e / s
     coef[1] = -w[:, None] * coef[2]
     coef[0, :, 0] = m * w
-    half = (lambda t: (np.sin(t / 2), np.cos(t / 2), np.cos(t / 2) / 2, -np.sin(t / 2) / 2))
-    return _Chart(0.0, int(np.count_nonzero(w)), zeta[:, None], 2 * np.array([*map(math.atan, d)]), m, coef, half,
-                  lambda t: c + s * np.tan(t / 2), s, None)
+
+    def half(t):  # (P, Q, P', Q') = (sin, cos, cos / 2, -sin / 2) of t / 2
+        sin, cos = np.sin(t / 2), np.cos(t / 2)
+        return sin, cos, cos / 2, -sin / 2
+
+    chart = _Chart(0.0, int(np.count_nonzero(w)), zeta[:, None], 2 * np.array([*map(math.atan, d)]), m, coef, half,
+                   lambda t: c + s * np.tan(t / 2), s, None)
+    for array in chart[2:6]:  # shared by every caller of the cache
+        array.setflags(write=False)
+    return chart
 
 
 def backflow_intervals(wf: LineWaveFunction) -> BackflowReport:

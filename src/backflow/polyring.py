@@ -8,18 +8,23 @@ ring's Fourier coefficients). rational_series divides each linear factor in
 one pass over a list; series_quotient is the general division, for any
 denominator, kept as the tests' reference.
 Coefficients are plain Python complex numbers in ascending powers; numpy
-handles convolutions, FFTs and companion-matrix eigenvalues. Polynomial roots
-come one way: companion eigenvalues, each Newton-polished, sorted and
-clustered; complex_roots returns them all and real_roots the ones on the real
-axis. circle_roots finds the roots on |z| = 1 of a sampled trigonometric
-polynomial. Root data is a list of Roots, each the (position, multiplicity)
-pair that poly_from_roots and rational_series unpack.
+handles convolutions, FFTs and eigenvalues. Polynomial roots come one way:
+companion eigenvalues, each Newton-polished, sorted and clustered;
+complex_roots returns them all and real_roots the ones on the real axis.
+circle_roots finds the roots on |z| = 1 of a sampled real trigonometric
+polynomial in real arithmetic: the eigenvalues of a real diagonal-plus-rank-one
+matrix built from its values at 2 d + 1 equispaced nodes (its barycentric
+form in t = tan(theta / 2)), not a complex companion matrix. Root data is a
+list of Roots, each the (position, multiplicity) pair that poly_from_roots and
+rational_series unpack.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -261,16 +266,41 @@ def complex_roots(p: Poly) -> list[Root]:
     return [Root(z, m) for z, m in _cluster(sorted(_companion_roots(p.coeffs), key=lambda z: (z.real, z.imag)))]
 
 
+@lru_cache(maxsize=None)
+def _tan_nodes(d: int) -> tuple[np.ndarray, ...]:
+    """At the n = 2 d + 1 nodes, in the order of an inverse real FFT of length n (k = 0..d, then
+    -d..-1): tau_k = tan(pi k / n) and w_k tau_k for k != 0, and the barycentric weights
+    w_k = (-1)^k / cos(pi k / n). O(d) for each degree."""
+    n = 2 * d + 1
+    k = np.arange(n)
+    k[d + 1 :] -= n
+    angle = np.pi * k / n
+    tau, weight = np.tan(angle[1:]), np.where(k % 2, -1.0, 1.0) / np.cos(angle)
+    nodes = tau, weight[1:] * tau, weight
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
 def circle_roots(samples, degree: int, size) -> np.ndarray:
-    """Sorted angles in (-pi, pi] of the roots near |z| = 1, z = e^{i theta}, of the real
+    """Sorted angles in [-pi, pi) of the roots near |z| = 1, z = e^{i theta}, of the real
     p(theta) = sum_{|n| <= degree} c_n z^n, from samples at theta_j = 2 pi j / N (N > 2
     degree + 1) whose summed terms have magnitudes up to `size`. The c_n come from one
     FFT; those above `degree` must be round-off, at most CIRCLE_TAIL max(size) (else
-    TruncationFailure), and top ones that small are cut. Roots within CIRCLE_BAND of
-    the circle are kept: round-off moves a double root or a flat stretch off it."""
-    if len(samples) <= 2 * degree + 1:
-        raise ValueError(f"{len(samples)} samples cannot resolve degree {degree}")
-    c = np.fft.rfft(samples) / len(samples)
+    TruncationFailure), and top ones that small are cut, to degree d.
+
+    With phi + pi at the sample of largest |p| and t = tan((theta - phi) / 2), p is a real
+    polynomial of degree 2 d in t over (1 + t^2)^d. Its trigonometric barycentric form on the
+    n = 2 d + 1 nodes phi + 2 pi k / n, |k| <= d (Berrut 1984), from the node values p_k of one
+    inverse FFT, puts its roots at the eigenvalues t of the real 2d x 2d matrix diag(tau) - u 1^T
+    (Corless 2004): tau_k = tan(pi k / n) and u_k = (-1)^k p_k tau_k / (S cos(pi k / n)) for
+    k != 0, with S = sum_k (-1)^k p_k / cos(pi k / n) = n p(phi + pi), never small. Then
+    theta = phi + arg((1 + it) / (1 - it)), and roots within CIRCLE_BAND of the circle are
+    kept: round-off moves a double root or a flat stretch off it."""
+    N = len(samples)
+    if N <= 2 * degree + 1:
+        raise ValueError(f"{N} samples cannot resolve degree {degree}")
+    c = np.fft.rfft(samples) / N
     mags = np.abs(c)
     noise = CIRCLE_TAIL * np.max(size)
     tail = mags[degree + 1 :].max(initial=0.0)
@@ -283,8 +313,22 @@ def circle_roots(samples, degree: int, size) -> np.ndarray:
         d -= 1
     if d == 0:
         return np.empty(0)
-    z = _companion_eigenvalues(np.concatenate([np.conj(c[d:0:-1]), c[: d + 1]]))
-    return np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= CIRCLE_BAND]))
+    top = int(np.argmax(np.abs(samples)))
+    # c_m e^{i m phi}, phi = 2 pi top / N - pi, its phase pi m (2 top - N) / N reduced mod 2 pi exactly
+    shift = np.exp((1j * math.pi / N) * (np.arange(d + 1) * (2 * top - N) % (2 * N)))
+    p = np.fft.irfft(c[: d + 1] * shift, 2 * d + 1)  # p_k / n
+    tau, weight_tau, weight = _tan_nodes(d)
+    it = 1j * np.linalg.eigvals(np.diag(tau) - (p[1:] * weight_tau / (weight @ p))[:, None])
+    z = (1 + it) / (1 - it)
+    phi = 2 * math.pi * top / N - math.pi
+    theta = phi + np.angle(z[np.abs(np.abs(z) - 1.0) <= CIRCLE_BAND])
+    # theta lies in [phi - pi, phi + pi]; only the angles outside [-pi, pi) are wrapped, so a small
+    # one keeps its relative accuracy
+    if phi >= 0:
+        theta[theta >= math.pi] -= 2 * math.pi
+    else:
+        theta[theta < -math.pi] += 2 * math.pi
+    return np.sort(theta)
 
 
 def root_residual(p: Poly, z: complex) -> float:

@@ -168,7 +168,11 @@ def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
     cos, sin = np.array([*map(math.cos, phi)]), np.array([*map(math.sin, phi)])
     f = (2 * m * rho * lam)[:, None] * np.transpose([np.zeros_like(phi), -sin, cos])  # m (log q)'
     coef = np.array([np.transpose([m, -m * rho * cos, -m * rho * sin]), (0.5 * (rho * rho - 1))[:, None] * f, f])
-    turn = (lambda t: (np.exp(1j * t), 1.0, 1j * np.exp(1j * t), 0.0))  # q = |e^{it} - r|^2
+
+    def turn(t):  # q = |e^{it} - r|^2
+        e = np.exp(1j * t)
+        return e, 1.0, 1j * e, 0.0
+
     chart = _Chart(c0, keep.size - int(on.sum()), pos[:, None], phi, m, coef, turn,
                    lambda t: np.mod(t, 2 * math.pi) / lam, 1 / lam, wf.period)
     return _circle_report(wf, chart, ring_wavenumber, ring_current)

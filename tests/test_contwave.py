@@ -98,6 +98,13 @@ class TestConstruction:
         wf = example_one(-0.25j)
         assert charts == [wf.spec]
 
+    def test_construction_and_analyses_share_one_chart(self):
+        cw._line_chart.cache_clear()
+        wf = example_one(-0.25j)
+        cw.backflow_intervals(wf)
+        cw.density_critical_points(wf)
+        assert cw._line_chart.cache_info().misses == 1
+
 
 def mp_norm_integral(spec: cw.RationalSpec):
     """integral |f|^2 dx at 40 digits from the same float root data, broken at each
@@ -621,3 +628,16 @@ def test_zero_just_below_the_axis_keeps_its_interval(w):
             for end, root in zip(hits[0], ((-b - d) / (2 * a), (-b + d) / (2 * a))):
                 assert abs(end - root) <= 1e-12 * max(1, abs(root)), f"a = {t} - {w}i: {end} vs {root}"
         assert any(lo < report.min_wavenumber_location < hi for lo, hi in report.intervals), report
+
+
+@pytest.mark.parametrize("w", [1e-8, 1e-13])
+def test_zero_below_the_chart_centre_keeps_relative_accuracy(w):
+    """psi = N (x + iw) / (x + i)^2 has k < 0 on (-r, r), r = sqrt((w - 2 w^2) / (2 - w)), about
+    the chart centre theta = 0. The roots there are wrapped into [-pi, pi) only when outside it,
+    so the ends keep their relative accuracy: a wrap of every root rounds them to an ulp of pi."""
+    report = cw.backflow_intervals(example_one(complex(0.0, -w)))
+    assert len(report.intervals) == 1, report
+    with mpmath.workdps(50):
+        r = mpmath.sqrt((mpmath.mpf(w) - 2 * mpmath.mpf(w) ** 2) / (2 - mpmath.mpf(w)))
+        for end, root in zip(report.intervals[0], (-r, r)):
+            assert abs(end - root) <= 1e-14 * abs(root), f"{end} vs {root}"

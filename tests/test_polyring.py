@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import backflow
 from backflow import contwave
 from backflow import padegen as pg
-from backflow import polyring
+from backflow import polyring, ringwave
 from backflow.errors import DegreeZero, TruncationFailure, ZeroLeadingDenominator
 from backflow.polyring import (
     Poly,
@@ -183,6 +183,93 @@ def test_circle_roots_rejects_a_higher_degree():
         circle_roots(samples, 2, np.ones(16))
     with pytest.raises(ValueError):
         circle_roots(samples, 8, np.ones(16))
+
+
+def _assert_matches_companion(samples, degree, size):
+    """circle_roots against the roots near |z| = 1 of z^d p(z), from the complex companion
+    matrix of conj(c[d:0:-1]) ++ c[:d+1] on the same trimmed coefficients: the same in-band
+    count; within 1e-9 on simple roots (on the circle to 1e-9, condition eps |p| / |p'| at
+    most 1e-12); elsewhere (double roots, clusters, roots off the circle) a relative residual
+    |p(theta)| / sum |c_n| at most 10 times the companion's, or than n eps for n = 2 d + 1
+    terms, the round-off of evaluating p."""
+    c = np.fft.rfft(samples) / len(samples)
+    d = degree
+    while d > 0 and abs(c[d]) <= polyring.CIRCLE_TAIL * np.max(size):
+        d -= 1
+    c = c[: d + 1]
+    z = polyring._companion_eigenvalues(np.concatenate([np.conj(c[:0:-1]), c])) if d else np.empty(0)
+    z = z[np.abs(np.abs(z) - 1) <= polyring.CIRCLE_BAND]
+    got, want = circle_roots(samples, degree, size), np.angle(z)
+    assert got.size == want.size
+
+    n = np.arange(d + 1)[:, None]
+
+    def p(theta, order=0):  # the order-th theta-derivative of p
+        return np.real(((1j * n) ** order * np.where(n, 2, 1) * c[:, None] * np.exp(1j * n * theta)).sum(0))
+
+    scale = abs(c[0]) + 2 * np.abs(c[1:]).sum()
+    eps = np.finfo(float).eps
+    simple = (np.abs(np.abs(z) - 1) <= 1e-9) & (eps * scale <= 1e-12 * np.abs(p(want, 1)))
+    residual, reference = np.abs(p(got)) / scale, np.maximum(np.abs(p(want)) / scale, (2 * d + 1) * eps)
+    unpaired = np.ones(want.size, bool)
+    for i, theta in enumerate(got):  # pair each root with the nearest unpaired reference, cyclically
+        gap = np.where(unpaired, np.abs(np.angle(np.exp(1j * (theta - want)))), np.inf)
+        j = int(np.argmin(gap))
+        unpaired[j] = False
+        if simple[j]:
+            assert gap[j] <= 1e-9, (theta, want[j])
+        else:
+            assert residual[i] <= 10 * reference[j], (theta, residual[i], want[j], reference[j])
+
+
+def test_circle_roots_match_the_companion_on_random_polynomials():
+    # random real trigonometric polynomials of degree 1..60: a factor sin(theta) puts roots at 0 and
+    # pi, a factor (cos(theta) - cos(0.7))^2 a double root at +-0.7
+    rng = np.random.default_rng(23)
+    for d in range(1, 61):
+        N = 4 << d.bit_length()
+        theta = 2 * np.pi * np.arange(N) / N
+
+        def random(k):
+            (a, b), n = rng.normal(size=(2, k + 1, 1)), np.arange(k + 1)[:, None]
+            return (a * np.cos(n * theta) + b * np.sin(n * theta)).sum(0)
+
+        if d % 3 == 0:
+            samples = np.sin(theta) * random(d - 1)
+        elif d % 3 == 2 and d > 2:
+            samples = (np.cos(theta) - math.cos(0.7)) ** 2 * random(d - 2)
+        else:
+            samples = random(d)
+        _assert_matches_companion(samples, d, np.full(N, np.abs(samples).max()))
+
+
+def _engine_calls(monkeypatch, analysis, wf):
+    """The (samples, degree, size) of every circle_roots call that `analysis` makes on wf."""
+    calls = []
+    monkeypatch.setattr(contwave, "circle_roots", lambda *args: calls.append(args) or circle_roots(*args))
+    analysis(wf)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("m", [4, 12, 20])
+@pytest.mark.parametrize("b_over_pi", [2, 15])
+def test_circle_roots_match_the_companion_on_design_numerators(monkeypatch, m, b_over_pi):
+    # the numerators of k, k', j' (backflow_intervals) and (log|psi|^2)' (density_critical_points)
+    wf = pg.design_wavefunction(pg.exp_design_problem(m, b_over_pi * math.pi, math.pi)).wavefunction
+    calls = [call for analysis in (contwave.backflow_intervals, contwave.density_critical_points)
+             for call in _engine_calls(monkeypatch, analysis, wf)]
+    assert [degree for _, degree, _ in calls] == [m + 1, 2 * m + 2, 2 * m + 2, m + 1]
+    for call in calls:
+        _assert_matches_companion(*call)
+
+
+def test_circle_roots_match_the_companion_near_the_ring_threshold(monkeypatch):
+    spec = contwave.RationalSpec(zeros=(Root(0j),), poles=(Root(2 - 1e-7, 3),))
+    calls = _engine_calls(monkeypatch, ringwave.ring_backflow_intervals, ringwave.make_ring_wavefunction(spec))
+    assert len(calls) == 3
+    for call in calls:
+        _assert_matches_companion(*call)
 
 
 def test_root_is_the_pair_polyring_reads():
