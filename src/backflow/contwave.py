@@ -401,7 +401,7 @@ def _polished_roots(chart: _Chart, kinds):
     if line:  # theta = pi is x = +-inf
         found = [theta[np.abs(theta) < math.pi - ROOT_MERGE] for theta in found]
     else:  # a constant k or j on the ring has no critical points
-        found = [theta if theta.size or k == 0 else grid for theta, k in zip(found, kinds)]
+        found = [theta if theta.size or k == 0 else grid - math.pi for theta, k in zip(found, kinds)]
     critical = [k for k in kinds if k]
     kind = np.repeat([*kinds, *critical], [*(theta.size for theta in found), *[R] * len(critical)])
     theta = np.concatenate([*found, *[chart.centre] * len(critical)])
@@ -426,10 +426,13 @@ def _polished_roots(chart: _Chart, kinds):
 def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     """Backflow regions and extrema of k and j from the real roots of the
     _numerators of k, k' and j' = (|psi|^2 k)' (_polished_roots). A sign change
-    is kept when |k| is at round-off of its terms or of theta after the Newton steps. The
-    sign of k at their midpoints, finite even on a zero of psi, classifies the
-    pieces between sign changes; one with k >= 0 on both sides is a tangency.
-    The minima are the lowest k and j over the critical points (line: from 0 at inf)."""
+    is kept when |k| is at round-off of its terms or of theta after the Newton steps.
+    Piece i runs from bounds[i] to the next bound (the last to bounds[0] + 2 pi): the
+    crossings, after theta = -pi on the line and on a ring without any. The sign of k at
+    its midpoint, finite even on a zero of psi, classifies it; a crossing with k >= 0 on
+    both sides is a tangency. The minima are the lowest k and j over the critical points
+    (line: from 0 at inf). One to_x call gives every x, so the chart alone sets the frame;
+    on the line theta = -pi and pi are x = -inf and inf."""
     line, K, c0 = chart.period is None, chart.K, chart.c0
     found, theta, kind = _polished_roots(chart, (0, 1, 2))
 
@@ -440,38 +443,31 @@ def _circle_report(wf, chart: _Chart, k_of, j_of) -> BackflowReport:
     k_size = abs(c0) + ((np.abs(chart.coef[0, :K]) @ np.abs(basis)) / q[:K]).sum(0)
     # a steep crossing is at the round-off of theta, 32 ulps of pi times dk/dtheta, above that of the terms
     crossing = crossing[np.abs(c0 + kap) <= ROUNDOFF_K * k_size + 2**-46 * np.abs(dkap)]
-    wrap = -math.inf if line else crossing[-1:] - 2 * math.pi  # the ring is cyclic
-    crossing = crossing[np.diff(crossing, prepend=wrap) > ROOT_MERGE]
-    x = chart.to_x(crossing).tolist()
-    if not line:  # into [-L/2, L/2)
-        x = [t - chart.period if t >= 0.5 * chart.period else t for t in x]
+    # cyclic; on the line crossings keep ROOT_MERGE from theta = +-pi, so the first is always kept
+    crossing = crossing[np.diff(crossing, prepend=crossing[-1:] - 2 * math.pi) > ROOT_MERGE]
 
-    # cyclic pieces between crossings; theta = pi bounds one on the line and on a ring without any
-    bounds = np.append(crossing, [math.pi] if line or not x else [])
-    ends = np.append(bounds[1:], bounds[0] + 2 * math.pi)
-    (q, n, _, _), _, _ = _at(chart, 0.5 * (bounds + ends), slopes=False)
+    bounds = np.append([-math.pi] if line or not crossing.size else [], crossing)
+    edges = np.append(bounds, bounds[0] + 2 * math.pi)
+    (q, n, _, _), _, _ = _at(chart, 0.5 * (edges[:-1] + edges[1:]), slopes=False)
     negative = (c0 + (n[:K] / q[:K]).sum(0) < 0).tolist()
-    tangencies = [x[i] for i in range(len(x)) if not (negative[i - 1] or negative[i])]
-    intervals = []
-    ends_x = x + [math.inf]
-    for i, neg in enumerate(negative):
-        if not neg:
-            continue
-        if line:  # the piece from theta = pi runs from x = -inf
-            intervals.append((ends_x[i] if i < len(x) else -math.inf, ends_x[(i + 1) % len(ends_x)]))
-        else:
-            lo = x[i] if x else -0.5 * chart.period
-            intervals.append((lo, lo + float(ends[i] - bounds[i]) * chart.period / (2 * math.pi)))
+    extrema = [np.concatenate([found[k], theta[kind == k]]) for k in (1, 2)]
+    x = chart.to_x(np.concatenate([edges, *extrema]))
+    if line:
+        x[0], x[bounds.size] = -math.inf, math.inf
+    ends, split = x[: edges.size].tolist(), edges.size + extrema[0].size
+    start = bounds.size - crossing.size  # 1 where bounds[0] = -pi is no crossing
+    tangencies = [ends[i] for i in range(start, bounds.size) if not (negative[i - 1] or negative[i])]
+    intervals = [(ends[i], ends[i + 1]) for i in range(bounds.size) if negative[i]]
 
-    def lowest(of, which):  # over the roots as found and as polished
-        xs = chart.to_x(np.concatenate([found[which], theta[kind == which]]))
+    def lowest(of, xs):  # over the roots as found and as polished
         vals = np.where(np.isnan(v := of(wf, xs)), math.inf, v) if xs.size else xs
         if line and not (xs.size and vals.min() < 0):
             return 0.0, math.inf
         i = int(np.argmin(vals))
         return float(vals[i]), float(xs[i])
 
-    return BackflowReport(tuple(sorted(intervals)), *lowest(k_of, 1), *lowest(j_of, 2), tuple(tangencies))
+    return BackflowReport(tuple(intervals), *lowest(k_of, x[edges.size : split]), *lowest(j_of, x[split:]),
+                          tuple(tangencies))
 
 
 @lru_cache(maxsize=4)

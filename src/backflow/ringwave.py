@@ -157,8 +157,9 @@ def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
     k and j, exactly (see contwave._circle_report), in theta = 2 pi x / L with
     lam = 2 pi / L and q = |e^{i theta} - r|^2. A zero at the origin adds 1 to
     k per unit multiplicity and one on the circle 1/2, so neither enters the
-    products. Arcs are (lo, hi) with lo, like tangencies, in [-L/2, L/2); an
-    arc across the period seam keeps hi = lo + width."""
+    products. Every x is theta / (2 pi) * L with theta in [-pi, pi), so arc starts
+    lo, tangencies and minimum locations lie in [-L/2, L/2) (theta / lam can round
+    up to L/2); an arc (lo, hi) across the period seam keeps hi = lo + width."""
     lam = 2 * math.pi / wf.period
     pos, _, _, rho, phi, m, _ = (column[:, 0] for column in wf.spec.root_columns)
     origin, on = rho < 1e-12, abs(rho - 1) < 1e-12
@@ -174,6 +175,6 @@ def ring_backflow_intervals(wf: RingWaveFunction) -> BackflowReport:
         return e, 1.0, 1j * e, 0.0
 
     chart = _Chart(c0, keep.size - int(on.sum()), pos[:, None], phi, m, coef, turn,
-                   lambda t: np.mod(t, 2 * math.pi) / lam, 1 / lam, wf.period)
+                   lambda t: t / (2 * math.pi) * wf.period, 1 / lam, wf.period)
     return _circle_report(wf, chart, ring_wavenumber, ring_current)
 

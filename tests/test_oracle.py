@@ -210,3 +210,26 @@ def test_evaluations_count_psi_calls(monkeypatch, case):
     else:
         got = oracle.fourier_quadrature(example_one(), 1.3)
     assert got.evaluations == len(calls) > 0
+
+
+@pytest.mark.parametrize("error", [0.0, 1e-5], ids=["exact", "scaled"])
+def test_verify_line_spectrum_row_catches_a_scaled_spectrum(error):
+    """On a state without mirror symmetry, a spectrum 1e-5 off fails only the residue row at tol 1e-6."""
+    wf = cw.make_line_wavefunction(
+        cw.RationalSpec(zeros=(cw.Root(0.3 - 0.2j),), poles=(cw.Root(-1j, 2), cw.Root(1 - 1j)))
+    )
+    sp = cw.momentum_spectrum(wf)
+    rows = oracle.verify_line(
+        wf, lambda p: (1 + error) * cw.eval_spectrum(sp, p), lambda x: cw.local_wavenumber(wf, x), 1e-6
+    )
+    assert [name for name, ok, _ in rows if not ok] == (["residue_spectrum_matches_quadrature"] if error else [])
+
+
+@pytest.mark.parametrize("error", [0.0, 1e-5], ids=["exact", "perturbed"])
+def test_verify_ring_dft_row_catches_a_perturbed_coefficient(error):
+    """c_1 of example three 1e-5 off fails the DFT row (and Parseval) at tol 1e-6."""
+    wf = rw.make_ring_wavefunction(cw.RationalSpec(zeros=(cw.Root(0j),), poles=(cw.Root(1.5 + 0j, 3),)), 1.0)
+    coeffs = list(rw.ring_spectrum(wf).coeffs)
+    coeffs[0] += error
+    rows = oracle.verify_ring(wf, coeffs, lambda x: rw.ring_wavenumber(wf, x), 1e-6)
+    assert [name for name, ok, _ in rows if not ok] == (["parseval", "taylor_coefficients_match_dft"] if error else [])

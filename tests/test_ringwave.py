@@ -273,6 +273,29 @@ class TestBackflowArcs:
                 report = rw.ring_backflow_intervals(example_three(float(a), n))
                 assert bool(report.intervals) == (n > a + 1)
 
+    @pytest.mark.parametrize(
+        "zeros, poles, period",
+        [
+            ([0j, 1.3927535088542045 - 0.4802138611086775j, -0.14902282052565607 + 0.8154501466157339j], [], 1.0),
+            ([0j], [(1.5 * cmath.exp(2j), 3)], 2.5),
+            ([0j, 1 + 0j], [], 2.5),  # k constant: its minimum is a grid point
+            ([0j], [(1.5 + 0j, 3)], 1.0),  # example three
+            ([0j], [(1.2 + 0j, 2)], 3.0),  # min j one ulp below theta = pi, where theta / lam rounds to L/2
+        ],
+        ids=["three-zeros", "turned-pole", "constant-k", "example-three", "antipode"],
+    )
+    def test_one_frame(self, zeros, poles, period):
+        """Arc starts, tangencies and both minimum locations lie in [-L/2, L/2), and a negative
+        minimum lies in an arc (modulo L, as an arc across the seam keeps hi = lo + width)."""
+        spec = cw.RationalSpec(zeros=tuple(map(cw.Root, zeros)), poles=tuple(cw.Root(*p) for p in poles))
+        report = rw.ring_backflow_intervals(rw.make_ring_wavefunction(spec, period))
+        xs = [lo for lo, _ in report.intervals] + [*report.tangencies]
+        xs += [report.min_wavenumber_location, report.min_current_location]
+        assert all(-period / 2 <= x < period / 2 for x in xs), report
+        for value, x in [(report.min_wavenumber, report.min_wavenumber_location),
+                         (report.min_current, report.min_current_location)]:
+            assert value >= 0 or any((x - lo) % period < hi - lo for lo, hi in report.intervals)
+
 
 def mp_ring_wavenumber(wf: rw.RingWaveFunction):
     """k(x) on the ring at 50 digits from the same float root data."""
